@@ -21,7 +21,8 @@ StableSketch::StableSketch(double p, size_t rows, uint64_t seed,
       manage_epochs_(manage_epochs),
       rng_(Mix64(seed ^ 0x57ab1e5ce7c4ULL)),
       theta_hash_(Mix64(seed * 3 + 1)),
-      r_hash_(Mix64(seed * 5 + 2)) {
+      r_hash_(Mix64(seed * 5 + 2)),
+      memo_slots_(EntryMemoSlots(rows_)) {
   if (shared_accountant != nullptr) {
     accountant_ = shared_accountant;
   } else {
@@ -56,10 +57,46 @@ double StableSketch::Entry(size_t row, Item item) const {
   return PStableFromUniform(p_, theta, u_r);
 }
 
+size_t StableSketch::EntryMemoSlots(size_t rows) {
+  constexpr size_t kMinSlots = 16;
+  const size_t slot_bytes =
+      sizeof(uint64_t) + sizeof(uint8_t) + rows * sizeof(double);
+  const size_t fit = kEntryMemoBytes / slot_bytes;
+  if (fit < kMinSlots) return 0;
+  size_t slots = kMinSlots;
+  while (slots * 2 <= fit) slots *= 2;
+  return slots;
+}
+
+size_t StableSketch::EntryMemoSlot(Item item, size_t slots) {
+  // slots is a power of two >= 16, so ctz is its log2 and the shift is
+  // below 64.
+  const int bits = __builtin_ctzll(slots);
+  return static_cast<size_t>((item * 0x9e3779b97f4a7c15ULL) >> (64 - bits));
+}
+
+const double* StableSketch::MemoizedEntries(Item item) {
+  if (memo_slots_ == 0) return nullptr;
+  if (memo_keys_.empty()) {
+    memo_keys_.assign(memo_slots_, 0);
+    memo_valid_.assign(memo_slots_, 0);
+    memo_entries_.assign(memo_slots_ * rows_, 0.0);
+  }
+  const size_t slot = EntryMemoSlot(item, memo_slots_);
+  double* entries = memo_entries_.data() + slot * rows_;
+  if (memo_valid_[slot] == 0 || memo_keys_[slot] != item) {
+    for (size_t r = 0; r < rows_; ++r) entries[r] = Entry(r, item);
+    memo_keys_[slot] = item;
+    memo_valid_[slot] = 1;
+  }
+  return entries;
+}
+
 void StableSketch::Update(Item item) {
   if (manage_epochs_) accountant_->BeginUpdate();
+  const double* entries = MemoizedEntries(item);
   for (size_t r = 0; r < rows_; ++r) {
-    const double e = Entry(r, item);
+    const double e = entries != nullptr ? entries[r] : Entry(r, item);
     if (mode_ == CounterMode::kExact) {
       exact_rows_->Set(r, exact_rows_->Get(r) + e);
     } else if (e >= 0.0) {
@@ -72,9 +109,10 @@ void StableSketch::Update(Item item) {
 
 void StableSketch::UpdateBatch(const Item* items, size_t n) {
   if (mode_ != CounterMode::kExact || !manage_epochs_) {
-    // Morris counters flip RNG coins sequentially per update, and
-    // caller-managed epochs mean the caller drives BeginUpdate around
-    // each item — both are inherently scalar-path contracts.
+    // Morris counters flip RNG coins sequentially per update (and their
+    // Add, not the memoised entry math, dominates), and caller-managed
+    // epochs mean the caller drives BeginUpdate around each item — both
+    // are scalar-path contracts.
     for (size_t i = 0; i < n; ++i) Update(items[i]);
     return;
   }
@@ -214,17 +252,14 @@ Status StableSketch::RestoreDirty(const Sketch& source,
   return Status::OK();
 }
 
+double StableSketch::RowValue(size_t row) const {
+  if (mode_ == CounterMode::kExact) return exact_rows_->Peek(row);
+  return pos_counters_[row].Estimate() - neg_counters_[row].Estimate();
+}
+
 double StableSketch::MedianAbsRowValue() const {
   std::vector<double> magnitudes(rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    double v;
-    if (mode_ == CounterMode::kExact) {
-      v = exact_rows_->Peek(r);
-    } else {
-      v = pos_counters_[r].Estimate() - neg_counters_[r].Estimate();
-    }
-    magnitudes[r] = std::fabs(v);
-  }
+  for (size_t r = 0; r < rows_; ++r) magnitudes[r] = std::fabs(RowValue(r));
   return Median(std::move(magnitudes));
 }
 

@@ -36,6 +36,16 @@ namespace fewstate {
 ///    only (1+eps) accuracy for p < 1 (|<D+,f>| + |<D-,f>| = O(||f||_p));
 ///    for p >= 1 the mode still runs but the guarantee degrades, matching
 ///    the paper's scoping of Theorem 3.2 to p in (0, 1].
+///
+/// Cost: deriving an entry takes two tabulation hashes and a p-stable
+/// transform (a `pow`, `sin`, `cos` and `log`), about as much as the
+/// Morris `Add` it feeds. Since an entry is a pure function of
+/// (seed, row, item), the scalar `Update` keeps a direct-mapped memo of
+/// recent items' whole entry vectors: at most `kEntryMemoBytes`, allocated
+/// on the first `Update`, and untracked scratch like the batch buffers —
+/// restores and merges neither copy nor read it. Skewed streams revisit
+/// their heavy items, so most updates skip the math entirely; a hit
+/// returns exactly the doubles `Entry` would compute.
 class StableSketch : public MergeableSketch, public RestorableSketch {
  public:
   enum class CounterMode { kExact, kMorris };
@@ -54,12 +64,13 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   void Update(Item item) override;
 
   /// \brief Batch kernel for `kExact` self-managed-epoch sketches: derives
-  /// the whole chunk's p-stable entries with batched tabulation hashing,
-  /// then accumulates rows in arrival order with accounting reconciled
-  /// once per chunk — bitwise identical to the scalar loop. Falls back to
-  /// the scalar path in `kMorris` mode (the Morris counters consume the
-  /// RNG sequentially per update) and under caller-managed epochs (the
-  /// caller drives `BeginUpdate`, a scalar-path contract).
+  /// the whole chunk's p-stable entries with batched tabulation hashing
+  /// (no memo), then accumulates rows in arrival order with accounting
+  /// reconciled once per chunk — bitwise identical to the scalar loop.
+  /// Falls back to the scalar, memoised path in `kMorris` mode, where the
+  /// per-row Morris `Add` is the dominant cost and consumes the RNG
+  /// sequentially per update, and under caller-managed epochs (the caller
+  /// drives `BeginUpdate`, a scalar-path contract).
   void UpdateBatch(const Item* items, size_t n) override;
 
   /// \brief Folds an identically-configured replica (same p, rows, seed,
@@ -99,12 +110,31 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// set (common random numbers), so it needs the raw statistic.
   double MedianAbsRowValue() const;
 
+  /// \brief Current value of row `row`'s inner product <D(row), f>
+  /// (uncounted read; in `kMorris` mode the difference of the positive and
+  /// negative counters' estimates).
+  double RowValue(size_t row) const;
+
   /// \brief Estimate of Fp = ||f||_p^p.
   double EstimateFp() const;
 
   /// \brief Median of |X| for X standard p-stable, estimated once per
   /// process by seeded Monte Carlo and cached (the sketch's scale factor).
   static double MedianAbsPStable(double p);
+
+  /// \brief Byte budget of the entry memo: keys, valid flags and entry
+  /// vectors together.
+  static constexpr size_t kEntryMemoBytes = 64 * 1024;
+
+  /// \brief Slot count of the entry memo for a `rows`-row sketch: the
+  /// largest power of two whose slots fit `kEntryMemoBytes`, or 0 (no
+  /// memo) when fewer than 16 would.
+  static size_t EntryMemoSlots(size_t rows);
+
+  /// \brief Memo slot of `item` in a memo of `slots` slots (a nonzero
+  /// `EntryMemoSlots` result): multiply-shift hashing. Public so that
+  /// tests can build streams whose items share a slot.
+  static size_t EntryMemoSlot(Item item, size_t slots);
 
   double p() const { return p_; }
   size_t rows() const { return rows_; }
@@ -117,6 +147,10 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// p-stable entry D(r)[item], derived from hashes (same value every time
   /// the pair is visited).
   double Entry(size_t row, Item item) const;
+
+  /// All `rows_` entries of `item`, from the memo (filled on a miss), or
+  /// nullptr when the sketch has too many rows for a memo.
+  const double* MemoizedEntries(Item item);
 
   double p_;
   size_t rows_;
@@ -140,6 +174,13 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   std::vector<uint64_t> batch_raw_;
   std::vector<double> batch_theta_;
   std::vector<double> batch_entries_;
+  // Entry memo (untracked scratch, empty until the first Update): slot s
+  // holds item memo_keys_[s]'s entries at memo_entries_[s * rows_] while
+  // memo_valid_[s] is set.
+  size_t memo_slots_;
+  std::vector<uint64_t> memo_keys_;
+  std::vector<uint8_t> memo_valid_;
+  std::vector<double> memo_entries_;
 };
 
 }  // namespace fewstate

@@ -27,8 +27,17 @@ namespace fewstate {
 /// Real-valued increments (`Add`) are supported for the p-stable sketch of
 /// Theorem 3.2: the target value value(X) + w is converted to a fractional
 /// level and the counter jumps there with probabilistic rounding, keeping
-/// the estimate unbiased while performing at most two tracked writes (and
+/// the estimate unbiased while performing at most one tracked write (and
 /// usually zero when w is far below the current level gap).
+///
+/// Cost: `Add` caches the level boundaries value(X) and value(X+1), so a
+/// call that stays within the current level — the common case, since few
+/// calls change state — pays one `log1p` (the fractional-level inverse)
+/// plus one Bernoulli draw instead of one `log1p` and three `expm1`. The
+/// cache is untracked scratch, not algorithm state: it is dropped on every
+/// level write and refilled by the next `Add`, so `Increment`-only
+/// counters never compute it. Results are bitwise identical to recomputing
+/// the boundaries on every call.
 class MorrisCounter {
  public:
   /// \brief Constructs a counter with growth parameter `a >= 0` drawing
@@ -47,7 +56,9 @@ class MorrisCounter {
   /// \brief Counts one occurrence.
   void Increment();
 
-  /// \brief Adds a non-negative real weight.
+  /// \brief Adds a non-negative real weight. Weights that are not
+  /// positive (zero, negative, NaN) are ignored; an infinite weight, or
+  /// one whose target level lies past `kMaxLevel`, saturates the level.
   void Add(double w);
 
   /// \brief Folds another counter (same growth parameter `a`) into this
@@ -72,12 +83,17 @@ class MorrisCounter {
   /// \brief Current level (the single word of tracked state).
   uint32_t level() const { return level_.Peek(); }
 
+  /// \brief The level saturates here: `Increment` and `Add` never move
+  /// it past the 32-bit range (or wrap it around).
+  static constexpr uint32_t kMaxLevel = UINT32_MAX;
+
   /// \brief Logical cell address of the level word (dirty-set lookups in
   /// delta restores).
   uint64_t cell() const { return level_.cell(); }
 
   /// \brief Number of level advances so far (== tracked state changes
-  /// attributable to this counter).
+  /// attributable to this counter). Never exceeds `level()`: every
+  /// advance raises the level by at least one.
   uint64_t level_changes() const { return level_changes_; }
 
   /// \brief Growth parameter.
@@ -89,13 +105,28 @@ class MorrisCounter {
   /// Inverse of ValueAt: (possibly fractional) level whose value is v.
   double LevelFor(double v) const;
 
-  StateAccountant* accountant_;
+  /// Marks the boundary cache stale; called on every level write.
+  void DropBoundaryCache() { lower_value_ = -1.0; }
+
   Rng* rng_;
   double a_;
   double log1p_a_;  // cached log(1+a); 0 when a == 0
-  TrackedCell<uint32_t> level_;
-  uint64_t level_changes_ = 0;
+  // Boundary cache: ValueAt(level) and ValueAt(level + 1), valid only
+  // while lower_value_ >= 0 (ValueAt is never negative).
+  double lower_value_ = -1.0;
+  double upper_value_ = 0.0;
+  // The accountant lives in the cell: Get() is the counted read, Set() of
+  // the held value the suppressed write.
+  [[no_unique_address]] TrackedCell<uint32_t> level_;
+  // Packed into level_'s tail padding; 32 bits suffice because
+  // level_changes_ <= level_.
+  uint32_t level_changes_ = 0;
 };
+
+// SampleAndHold keeps one counter per hold node; a larger counter grows
+// every node.
+static_assert(sizeof(MorrisCounter) <= 64,
+              "MorrisCounter must stay within one cache line");
 
 }  // namespace fewstate
 

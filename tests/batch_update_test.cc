@@ -10,6 +10,8 @@
 // landing mid-batch.
 
 #include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -18,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "api/sketch.h"
+#include "common/random.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
 #include "baselines/misra_gries.h"
@@ -247,6 +250,93 @@ TEST(BatchUpdateTest, CheckpointStraddlingBatchMatchesScalar) {
     // checkpoint word traffic, bit for bit.
     EXPECT_EQ(s.checkpoint.word_writes, b.checkpoint.word_writes) << s.name;
   }
+}
+
+// The scalar StableSketch path memoises each item's entry vector in a
+// direct-mapped table; the batch kernel derives every entry afresh. Rows
+// must agree bit for bit, so a memo hit is exactly the computed entry.
+void ExpectStableRowsBitwiseEqual(const StableSketch& scalar,
+                                  const StableSketch& batched,
+                                  const std::string& context) {
+  ASSERT_EQ(scalar.rows(), batched.rows()) << context;
+  for (size_t r = 0; r < scalar.rows(); ++r) {
+    const double s = scalar.RowValue(r);
+    const double b = batched.RowValue(r);
+    uint64_t s_bits;
+    uint64_t b_bits;
+    std::memcpy(&s_bits, &s, sizeof(s));
+    std::memcpy(&b_bits, &b, sizeof(b));
+    ASSERT_EQ(s_bits, b_bits) << context << " row=" << r;
+  }
+}
+
+constexpr size_t kMemoRun = 150;
+
+// Groups of four items sharing one memo slot (one group around item 0,
+// one around UINT64_MAX, the rest from the low items), emitted in runs of
+// `kMemoRun` random picks from one group: within a run consecutive items
+// share a slot, so every switch of item evicts and every repeat hits.
+Stream MemoCollisionStream(size_t slots) {
+  std::vector<std::vector<Item>> groups;
+  for (const Item anchor : {Item{0}, UINT64_MAX, Item{1}, Item{12345}}) {
+    const size_t slot = StableSketch::EntryMemoSlot(anchor, slots);
+    std::vector<Item> group = {anchor};
+    for (Item mate = 2; group.size() < 4; ++mate) {
+      if (mate != anchor && StableSketch::EntryMemoSlot(mate, slots) == slot) {
+        group.push_back(mate);
+      }
+    }
+    groups.push_back(group);
+  }
+  Rng rng(99);
+  Stream stream;
+  for (int round = 0; round < 8; ++round) {
+    for (const std::vector<Item>& group : groups) {
+      for (size_t i = 0; i < kMemoRun; ++i) {
+        stream.push_back(group[rng.UniformInt(group.size())]);
+      }
+    }
+  }
+  return stream;
+}
+
+TEST(BatchUpdateTest, MemoisedStableEntriesMatchBatchKernelUnderCollisions) {
+  constexpr size_t kRows = 32;
+  const size_t slots = StableSketch::EntryMemoSlots(kRows);
+  ASSERT_EQ(slots, 128u);
+  const Stream stream = MemoCollisionStream(slots);
+  for (size_t i = 1; i < stream.size(); ++i) {
+    if (i % kMemoRun == 0) continue;  // a new run, a new group
+    ASSERT_EQ(StableSketch::EntryMemoSlot(stream[i], slots),
+              StableSketch::EntryMemoSlot(stream[i - 1], slots))
+        << "at " << i;
+  }
+  StableSketch scalar(0.5, kRows, 11, StableSketch::CounterMode::kExact);
+  FeedScalar(scalar, stream);
+  for (const size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
+    const std::string context = "batch=" + std::to_string(batch);
+    StableSketch batched(0.5, kRows, 11, StableSketch::CounterMode::kExact);
+    FeedBatched(batched, stream, batch);
+    ExpectAccountantsEqual(scalar.accountant(), batched.accountant(),
+                           context);
+    ExpectStableRowsBitwiseEqual(scalar, batched, context);
+  }
+}
+
+TEST(BatchUpdateTest, UnmemoisedWideStableSketchMatchesBatchKernel) {
+  // Too many rows for 16 memo slots in the budget: no memo at all.
+  constexpr size_t kRows = 600;
+  ASSERT_EQ(StableSketch::EntryMemoSlots(kRows), 0u);
+  Stream stream = ZipfStream(300, 1.2, 1500, /*seed=*/77);
+  stream.push_back(0);
+  stream.push_back(UINT64_MAX);
+  stream.push_back(UINT64_MAX);
+  StableSketch scalar(0.5, kRows, 13, StableSketch::CounterMode::kExact);
+  FeedScalar(scalar, stream);
+  StableSketch batched(0.5, kRows, 13, StableSketch::CounterMode::kExact);
+  FeedBatched(batched, stream, 256);
+  ExpectAccountantsEqual(scalar.accountant(), batched.accountant(), "wide");
+  ExpectStableRowsBitwiseEqual(scalar, batched, "wide");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
@@ -81,6 +82,45 @@ TEST(StableSketch, EntriesAreDeterministicPerSeed) {
 TEST(StableSketch, EmptyStreamEstimatesZero) {
   StableSketch sk(0.5, 16, 15, StableSketch::CounterMode::kMorris);
   EXPECT_DOUBLE_EQ(sk.EstimateLp(), 0.0);
+}
+
+TEST(StableSketch, EntryMemoFitsItsBudget) {
+  for (size_t rows : {size_t{1}, size_t{8}, size_t{32}, size_t{96},
+                      size_t{510}, size_t{511}, size_t{4096}}) {
+    const size_t slots = StableSketch::EntryMemoSlots(rows);
+    if (slots == 0) {
+      EXPECT_GE(rows, 511u);
+      continue;
+    }
+    EXPECT_EQ(slots & (slots - 1), 0u) << rows;  // a power of two
+    EXPECT_GE(slots, 16u) << rows;
+    EXPECT_LE(slots * (sizeof(uint64_t) + 1 + rows * sizeof(double)),
+              StableSketch::kEntryMemoBytes)
+        << rows;
+    for (Item item : {Item{0}, Item{1}, UINT64_MAX}) {
+      EXPECT_LT(StableSketch::EntryMemoSlot(item, slots), slots);
+    }
+  }
+  EXPECT_EQ(StableSketch::EntryMemoSlots(32), 128u);
+}
+
+TEST(StableSketch, RestoredReplicaWithColdMemoContinuesIdentically) {
+  // The memo is scratch outside the restorable state: a replica restored
+  // from a warm source starts with an empty memo, yet the two continue
+  // in lockstep (same levels, same coin flips).
+  const Stream stream = ZipfStream(3000, 1.1, 20000, 16);
+  const size_t half = stream.size() / 2;
+  StableSketch source(0.5, 32, 17, StableSketch::CounterMode::kMorris, 0.05);
+  for (size_t i = 0; i < half; ++i) source.Update(stream[i]);
+  StableSketch replica(0.5, 32, 17, StableSketch::CounterMode::kMorris, 0.05);
+  ASSERT_TRUE(replica.RestoreFrom(source).ok());
+  for (size_t i = half; i < stream.size(); ++i) {
+    source.Update(stream[i]);
+    replica.Update(stream[i]);
+  }
+  for (size_t r = 0; r < source.rows(); ++r) {
+    EXPECT_EQ(source.RowValue(r), replica.RowValue(r)) << r;
+  }
 }
 
 }  // namespace
