@@ -32,13 +32,15 @@ if grep -rnE 'set_write_log\(' bench examples; then
   exit 1
 fi
 
-# Batch-drain gate: the engine drain loops feed sketches through
-# `UpdateBatch` (the vectorized hot path). A per-item `->Update(` call in
-# a drain file is legal only as the `force_scalar` escape hatch — i.e.
-# within two lines of a `force_scalar` guard. Anything else is the scalar
-# path creeping back into the hot loop.
+# Batch-drain gate: both engines drain through one loop, `BatchDrainer`
+# (src/api/batch_drainer.cc), which feeds sketches through `UpdateBatch`
+# (the vectorized hot path); `StreamingAlgorithm::Drain` (item_source.cc)
+# is the only other drain. A per-item `->Update(` call in a drain file is
+# legal only as the `force_scalar` escape hatch — i.e. within two lines of a
+# `force_scalar` guard. The engine files themselves must not call either:
+# a second drain loop there is the duplication this gate exists to stop.
 batch_gate_failed=0
-for drain_file in src/api/stream_engine.cc src/shard/sharded_engine.cc src/api/item_source.cc; do
+for drain_file in src/api/batch_drainer.cc src/api/item_source.cc; do
   if ! grep -q 'UpdateBatch(' "$drain_file"; then
     echo "check.sh: $drain_file no longer drains through UpdateBatch() — the batch hot path is gone" >&2
     batch_gate_failed=1
@@ -50,6 +52,12 @@ for drain_file in src/api/stream_engine.cc src/shard/sharded_engine.cc src/api/i
   if [ -n "$bad" ]; then
     echo "check.sh: per-item Update() in an engine drain loop outside the force_scalar escape hatch:" >&2
     echo "$bad" >&2
+    batch_gate_failed=1
+  fi
+done
+for engine_file in src/api/stream_engine.cc src/shard/sharded_engine.cc src/shard/shard_worker.cc; do
+  if grep -nE 'UpdateBatch\(|->Update\(' "$engine_file"; then
+    echo "check.sh: $engine_file updates sketches itself — drain through BatchDrainer instead of a second loop" >&2
     batch_gate_failed=1
   fi
 done

@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
 
+#include "api/batch_drainer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -32,6 +34,31 @@ SketchRunReport AccountantSnapshot::DeltaTo(
   return d;
 }
 
+void AppendFormat(std::string* out, const char* format, ...) {
+  va_list args;
+  va_start(args, format);
+  va_list measure;
+  va_copy(measure, args);
+  const int n = std::vsnprintf(nullptr, 0, format, measure);
+  va_end(measure);
+  if (n > 0) {
+    const size_t at = out->size();
+    out->resize(at + static_cast<size_t>(n) + 1);
+    std::vsnprintf(&(*out)[at], static_cast<size_t>(n) + 1, format, args);
+    out->resize(at + static_cast<size_t>(n));
+  }
+  va_end(args);
+}
+
+void Accumulate(SketchRunReport* into, const SketchRunReport& delta) {
+  into->updates += delta.updates;
+  into->state_changes += delta.state_changes;
+  into->word_writes += delta.word_writes;
+  into->suppressed_writes += delta.suppressed_writes;
+  into->word_reads += delta.word_reads;
+  into->wall_seconds += delta.wall_seconds;
+}
+
 const SketchRunReport* RunReport::Find(const std::string& name) const {
   for (const SketchRunReport& s : sketches) {
     if (s.name == name) return &s;
@@ -41,14 +68,11 @@ const SketchRunReport* RunReport::Find(const std::string& name) const {
 
 std::string RunReport::ToString() const {
   std::string out;
-  char line[256];
-  std::snprintf(line, sizeof(line),
-                "items_ingested=%llu wall_seconds=%.6f\n",
-                static_cast<unsigned long long>(items_ingested), wall_seconds);
-  out += line;
+  AppendFormat(&out, "items_ingested=%llu wall_seconds=%.6f\n",
+               static_cast<unsigned long long>(items_ingested), wall_seconds);
   for (const SketchRunReport& s : sketches) {
-    std::snprintf(
-        line, sizeof(line),
+    AppendFormat(
+        &out,
         "  %-24s state_changes=%-10llu word_writes=%-10llu "
         "suppressed=%-8llu reads=%-10llu peak_words=%-8llu wall=%.6fs\n",
         s.name.c_str(), static_cast<unsigned long long>(s.state_changes),
@@ -57,21 +81,19 @@ std::string RunReport::ToString() const {
         static_cast<unsigned long long>(s.word_reads),
         static_cast<unsigned long long>(s.peak_allocated_words),
         s.wall_seconds);
-    out += line;
     if (s.has_nvm) {
-      std::snprintf(
-          line, sizeof(line),
+      AppendFormat(
+          &out,
           "  %-24s   nvm: writes=%-10llu max_wear=%-8llu "
           "energy=%.3gnJ replays_to_eol=%.4g dropped=%llu\n",
           "", static_cast<unsigned long long>(s.nvm.writes_replayed),
           static_cast<unsigned long long>(s.nvm.max_cell_wear),
           s.nvm.energy_nj, s.nvm.projected_stream_replays_to_failure,
           static_cast<unsigned long long>(s.nvm.dropped_writes));
-      out += line;
       if (s.nvm.cache_enabled) {
         const CacheStats& c = s.nvm.cache;
-        std::snprintf(
-            line, sizeof(line),
+        AppendFormat(
+            &out,
             "  %-24s   cache: writes=%-10llu hits=%-10llu "
             "absorbed=%-10llu evict_dirty=%-8llu writebacks=%-10llu "
             "reuse_p50<=%llu\n",
@@ -81,7 +103,6 @@ std::string RunReport::ToString() const {
             static_cast<unsigned long long>(c.dirty_evictions),
             static_cast<unsigned long long>(c.writebacks),
             static_cast<unsigned long long>(c.ReuseP50()));
-        out += line;
       }
     }
   }
@@ -114,43 +135,40 @@ std::string CsvSanitize(const std::string& field) {
 std::string SketchReportCsvRow(const std::string& label,
                                const std::string& sketch,
                                const SketchRunReport& row) {
-  const std::string safe_label = CsvSanitize(label);
-  const std::string safe_sketch = CsvSanitize(sketch);
   const bool cached = row.has_nvm && row.nvm.cache_enabled;
-  char line[640];
-  std::snprintf(line, sizeof(line),
-                "%s,%s,%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%llu,%llu,%.6g,"
-                "%.6g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
-                safe_label.c_str(), safe_sketch.c_str(),
-                static_cast<unsigned long long>(row.updates),
-                static_cast<unsigned long long>(row.state_changes),
-                static_cast<unsigned long long>(row.word_writes),
-                static_cast<unsigned long long>(row.suppressed_writes),
-                static_cast<unsigned long long>(row.word_reads),
-                static_cast<unsigned long long>(row.peak_allocated_words),
-                row.wall_seconds,
-                static_cast<unsigned long long>(
-                    row.has_nvm ? row.nvm.writes_replayed : 0),
-                static_cast<unsigned long long>(
-                    row.has_nvm ? row.nvm.max_cell_wear : 0),
-                row.has_nvm ? row.nvm.energy_nj : 0.0,
-                row.has_nvm ? row.nvm.projected_stream_replays_to_failure
-                            : 0.0,
-                static_cast<unsigned long long>(
-                    row.has_nvm ? row.nvm.dropped_writes : 0),
-                static_cast<unsigned long long>(row.full_checkpoints),
-                static_cast<unsigned long long>(row.delta_checkpoints),
-                static_cast<unsigned long long>(row.snapshots_published),
-                static_cast<unsigned long long>(cached ? row.nvm.cache.hits
-                                                       : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.absorbed_writes : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.dirty_evictions : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.writebacks : 0),
-                static_cast<unsigned long long>(
-                    cached ? row.nvm.cache.ReuseP50() : 0));
+  std::string line = CsvSanitize(label) + ',' + CsvSanitize(sketch);
+  AppendFormat(&line,
+               ",%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%llu,%llu,%.6g,"
+               "%.6g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
+               static_cast<unsigned long long>(row.updates),
+               static_cast<unsigned long long>(row.state_changes),
+               static_cast<unsigned long long>(row.word_writes),
+               static_cast<unsigned long long>(row.suppressed_writes),
+               static_cast<unsigned long long>(row.word_reads),
+               static_cast<unsigned long long>(row.peak_allocated_words),
+               row.wall_seconds,
+               static_cast<unsigned long long>(
+                   row.has_nvm ? row.nvm.writes_replayed : 0),
+               static_cast<unsigned long long>(
+                   row.has_nvm ? row.nvm.max_cell_wear : 0),
+               row.has_nvm ? row.nvm.energy_nj : 0.0,
+               row.has_nvm ? row.nvm.projected_stream_replays_to_failure
+                           : 0.0,
+               static_cast<unsigned long long>(
+                   row.has_nvm ? row.nvm.dropped_writes : 0),
+               static_cast<unsigned long long>(row.full_checkpoints),
+               static_cast<unsigned long long>(row.delta_checkpoints),
+               static_cast<unsigned long long>(row.snapshots_published),
+               static_cast<unsigned long long>(cached ? row.nvm.cache.hits
+                                                      : 0),
+               static_cast<unsigned long long>(
+                   cached ? row.nvm.cache.absorbed_writes : 0),
+               static_cast<unsigned long long>(
+                   cached ? row.nvm.cache.dirty_evictions : 0),
+               static_cast<unsigned long long>(
+                   cached ? row.nvm.cache.writebacks : 0),
+               static_cast<unsigned long long>(
+                   cached ? row.nvm.cache.ReuseP50() : 0));
   return line;
 }
 
@@ -254,91 +272,25 @@ RunReport StreamEngine::Run(ItemSource& source) {
   report.sketches.resize(entries_.size());
 
   std::vector<AccountantSnapshot> before(entries_.size());
+  BatchDrainer drainer(force_scalar_, metrics_, trace_);
   for (size_t i = 0; i < entries_.size(); ++i) {
     before[i] = AccountantSnapshot::Of(entries_[i].sketch->accountant());
+    drainer.Add(entries_[i].sketch, entries_[i].name);
   }
-  std::vector<double> sketch_seconds(entries_.size(), 0.0);
+  Counter* items_counter =
+      metrics_ != nullptr
+          ? metrics_->GetCounter("fewstate_items_ingested_total")
+          : nullptr;
 
-  // Opt-in telemetry: bindings resolved once here, fed at batch
-  // boundaries below directly from the accountants (a single-threaded
-  // engine needs no metering tap — the accountant is right there).
-  struct Tele {
-    Counter* state_changes = nullptr;
-    Counter* word_writes = nullptr;
-    Gauge* change_rate = nullptr;
-    Gauge* wear_rate = nullptr;
-    uint64_t last_changes = 0;
-    uint64_t last_writes = 0;
-  };
-  std::vector<Tele> tele;
-  std::vector<std::string> update_span_names;
-  Counter* items_counter = nullptr;
-  if (metrics_ != nullptr) {
-    items_counter = metrics_->GetCounter("fewstate_items_ingested_total");
-    tele.resize(entries_.size());
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const MetricLabels labels{{"sketch", entries_[i].name}};
-      tele[i].state_changes =
-          metrics_->GetCounter("fewstate_sketch_state_changes_total", labels);
-      tele[i].word_writes =
-          metrics_->GetCounter("fewstate_sketch_word_writes_total", labels);
-      tele[i].change_rate =
-          metrics_->GetGauge("fewstate_sketch_change_rate", labels);
-      tele[i].wear_rate =
-          metrics_->GetGauge("fewstate_sketch_wear_rate", labels);
-      tele[i].last_changes = before[i].state_changes;
-      tele[i].last_writes = before[i].word_writes;
-    }
-  }
-  if (trace_ != nullptr) {
-    update_span_names.reserve(entries_.size());
-    for (const Entry& e : entries_) {
-      update_span_names.push_back("update:" + e.name);
-    }
-  }
-
-  // Sketches are mutually independent, so the pass is blocked: each sketch
-  // consumes one pulled batch at a time. That costs two clock reads per
-  // (sketch, batch) instead of per (sketch, item), keeping the timer
-  // overhead negligible relative to the update work — and the resident
-  // footprint at one batch, however long the source runs.
+  // The resident footprint stays at one batch, however long the source
+  // runs.
   std::vector<Item> buffer(kDefaultDrainBatchItems);
   const Clock::time_point run_start = Clock::now();
   report.items_ingested = ForEachBatch(
       source, buffer.data(), buffer.size(),
-      [this, &sketch_seconds, &tele, &update_span_names,
-       items_counter](const Item* batch, size_t count) {
-        if (trace_ != nullptr) trace_->Begin("batch_drain", "ingest");
-        for (size_t i = 0; i < entries_.size(); ++i) {
-          Sketch* sketch = entries_[i].sketch;
-          if (trace_ != nullptr) trace_->Begin(update_span_names[i], "update");
-          const Clock::time_point t0 = Clock::now();
-          if (force_scalar_) {
-            for (size_t j = 0; j < count; ++j) sketch->Update(batch[j]);
-          } else {
-            sketch->UpdateBatch(batch, count);
-          }
-          sketch_seconds[i] +=
-              std::chrono::duration<double>(Clock::now() - t0).count();
-          if (trace_ != nullptr) trace_->End(update_span_names[i], "update");
-        }
-        if (trace_ != nullptr) trace_->End("batch_drain", "ingest");
-        if (metrics_ == nullptr) return;
-        items_counter->Increment(count);
-        for (size_t i = 0; i < entries_.size(); ++i) {
-          const StateAccountant& a = entries_[i].sketch->accountant();
-          Tele& t = tele[i];
-          const uint64_t changes = a.state_changes();
-          const uint64_t writes = a.word_writes();
-          t.state_changes->Increment(changes - t.last_changes);
-          t.word_writes->Increment(writes - t.last_writes);
-          t.change_rate->Set(static_cast<double>(changes - t.last_changes) /
-                             static_cast<double>(count));
-          t.wear_rate->Set(static_cast<double>(writes - t.last_writes) /
-                           static_cast<double>(count));
-          t.last_changes = changes;
-          t.last_writes = writes;
-        }
+      [&drainer, items_counter](const Item* batch, size_t count) {
+        drainer.Drain(batch, count);
+        if (items_counter != nullptr) items_counter->Increment(count);
       });
   report.wall_seconds =
       std::chrono::duration<double>(Clock::now() - run_start).count();
@@ -356,7 +308,7 @@ RunReport StreamEngine::Run(ItemSource& source) {
     s = before[i].DeltaTo(AccountantSnapshot::Of(a));
     s.name = entries_[i].name;
     s.peak_allocated_words = a.peak_allocated_words();
-    s.wall_seconds = sketch_seconds[i];
+    s.wall_seconds = drainer.busy_seconds(i);
     if (entries_[i].nvm != nullptr) {
       entries_[i].nvm->Flush();
       s.has_nvm = true;

@@ -94,10 +94,16 @@ std::string SketchReportCsvRow(const std::string& label,
                                const std::string& sketch,
                                const SketchRunReport& row);
 
+/// \brief printf-style append to `out`, sized to fit: the report emitters
+/// build their lines with it, so no name or label is ever truncated.
+void AppendFormat(std::string* out, const char* format, ...)
+    __attribute__((format(printf, 2, 3)));
+
 /// \brief Value snapshot of an accountant's counters, shared by the
 /// engines to turn before/after pairs into per-run (or per-phase) report
-/// deltas. Extend this (and `DeltaTo`) when `StateAccountant` grows a
-/// counter, so `StreamEngine` and `ShardedEngine` reports stay in sync.
+/// deltas. Extend this (with `DeltaTo` and `Accumulate`) when
+/// `StateAccountant` grows a counter, so `StreamEngine` and
+/// `ShardedEngine` reports stay in sync.
 struct AccountantSnapshot {
   uint64_t updates = 0;
   uint64_t state_changes = 0;
@@ -111,6 +117,10 @@ struct AccountantSnapshot {
   /// `after`, as a report row (name/peak/wall left for the caller).
   SketchRunReport DeltaTo(const AccountantSnapshot& after) const;
 };
+
+/// \brief Adds `delta`'s accountant counters and wall time into `into`
+/// (name, peak, NVM and checkpoint fields are left to the caller).
+void Accumulate(SketchRunReport* into, const SketchRunReport& delta);
 
 /// \brief Drives N registered sketches over one pass of a stream.
 ///

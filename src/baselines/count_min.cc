@@ -112,8 +112,7 @@ Status CountMin::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<CountMin>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_ ||
-      src->conservative_ != conservative_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "CountMin::MergeFrom: incompatible configuration (depth, width, seed "
         "and update mode must match)");
@@ -128,8 +127,7 @@ Status CountMin::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<CountMin>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_ ||
-      src->conservative_ != conservative_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "CountMin::RestoreFrom: incompatible configuration (depth, width, "
         "seed and update mode must match)");
@@ -144,8 +142,7 @@ Status CountMin::RestoreDirty(const Sketch& source, const DirtyTracker& dirty) {
   Status status;
   const auto* src = RestoreSourceAs<CountMin>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_ ||
-      src->conservative_ != conservative_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "CountMin::RestoreDirty: incompatible configuration (depth, width, "
         "seed and update mode must match)");

@@ -79,6 +79,11 @@ class CountMin : public MergeableSketch, public RestorableSketch {
   StateAccountant* mutable_accountant() override { return &accountant_; }
 
  private:
+  bool SameConfig(const CountMin& other) const {
+    return other.depth_ == depth_ && other.width_ == width_ &&
+           other.seed_ == seed_ && other.conservative_ == conservative_;
+  }
+
   size_t depth_;
   size_t width_;
   uint64_t seed_;

@@ -80,7 +80,7 @@ Status CountSketch::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<CountSketch>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "CountSketch::MergeFrom: incompatible configuration (depth, width "
         "and seed must match)");
@@ -94,7 +94,7 @@ Status CountSketch::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<CountSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "CountSketch::RestoreFrom: incompatible configuration (depth, width "
         "and seed must match)");
@@ -109,7 +109,7 @@ Status CountSketch::RestoreDirty(const Sketch& source,
   Status status;
   const auto* src = RestoreSourceAs<CountSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->depth_ != depth_ || src->width_ != width_ || src->seed_ != seed_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "CountSketch::RestoreDirty: incompatible configuration (depth, width "
         "and seed must match)");

@@ -87,7 +87,7 @@ Status MisraGries::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<MisraGries>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->k_ != k_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "MisraGries::MergeFrom: capacities must match");
   }
@@ -151,7 +151,7 @@ Status MisraGries::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<MisraGries>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->k_ != k_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "MisraGries::RestoreFrom: capacities must match");
   }

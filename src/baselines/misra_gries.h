@@ -78,6 +78,8 @@ class MisraGries : public MergeableSketch,
   StateAccountant* mutable_accountant() override { return &accountant_; }
 
  private:
+  bool SameConfig(const MisraGries& other) const { return other.k_ == k_; }
+
   // Each tracked entry owns a 2-word slot: key word at
   // `cells_base_ + 2*slot`, count word at `cells_base_ + 2*slot + 1`.
   // Fine-grained addressing lets `DirtyTracker` (and batch

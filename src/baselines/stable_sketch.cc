@@ -175,8 +175,7 @@ Status StableSketch::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<StableSketch>(this, other, &status);
   if (src == nullptr) return status;
-  if (src->p_ != p_ || src->rows_ != rows_ || src->seed_ != seed_ ||
-      src->mode_ != mode_ || src->morris_a_ != morris_a_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "StableSketch::MergeFrom: incompatible configuration (p, rows, "
         "seed, counter mode and Morris growth must match)");
@@ -199,8 +198,7 @@ Status StableSketch::RestoreFrom(const Sketch& source) {
   Status status;
   const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->p_ != p_ || src->rows_ != rows_ || src->seed_ != seed_ ||
-      src->mode_ != mode_ || src->morris_a_ != morris_a_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "StableSketch::RestoreFrom: incompatible configuration (p, rows, "
         "seed, counter mode and Morris growth must match)");
@@ -228,8 +226,7 @@ Status StableSketch::RestoreDirty(const Sketch& source,
   Status status;
   const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
   if (src == nullptr) return status;
-  if (src->p_ != p_ || src->rows_ != rows_ || src->seed_ != seed_ ||
-      src->mode_ != mode_ || src->morris_a_ != morris_a_) {
+  if (!SameConfig(*src)) {
     return Status::InvalidArgument(
         "StableSketch::RestoreDirty: incompatible configuration (p, rows, "
         "seed, counter mode and Morris growth must match)");

@@ -144,6 +144,11 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   StateAccountant* mutable_accountant() override { return accountant_; }
 
  private:
+  bool SameConfig(const StableSketch& other) const {
+    return other.p_ == p_ && other.rows_ == rows_ && other.seed_ == seed_ &&
+           other.mode_ == mode_ && other.morris_a_ == morris_a_;
+  }
+
   /// p-stable entry D(r)[item], derived from hashes (same value every time
   /// the pair is visited).
   double Entry(size_t row, Item item) const;

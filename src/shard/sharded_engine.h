@@ -13,14 +13,13 @@
 #include "common/status.h"
 #include "common/stream_types.h"
 #include "nvm/live_sink.h"
-#include "obs/metering_sink.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recover/checkpoint_policy.h"
 #include "recover/restorable.h"
+#include "shard/shard_worker.h"
 #include "shard/sketch_factory.h"
 #include "shard/snapshot_serving.h"
-#include "state/dirty_tracker.h"
 
 namespace fewstate {
 
@@ -60,11 +59,6 @@ struct ShardedEngineOptions {
   /// surfaces. Workers mint snapshot replicas concurrently, so registered
   /// makers must be safe for concurrent `Make()` (see `SketchFactory`).
   CheckpointPolicy checkpoint_policy;
-  /// Legacy shim for the pre-policy API: when `checkpoint_policy` is
-  /// disabled and this is nonzero, the engine behaves as if
-  /// `checkpoint_policy = CheckpointPolicy::EveryItems(n)` (full
-  /// snapshots — the original behaviour). 0 defers to the policy.
-  uint64_t checkpoint_every_items = 0;
   /// Device spec for the checkpoint snapshots (one device per
   /// (shard, sketch), minted fresh each `Run`). Validated at engine
   /// construction when checkpointing is enabled; an invalid spec is a
@@ -90,9 +84,9 @@ struct ShardedEngineOptions {
   /// catalogued in `docs/OBSERVABILITY.md`: per-shard item/batch counters
   /// and queue depth/backpressure gauges, per-(shard, sketch)
   /// state-change and word-write counters with live change-rate /
-  /// wear-rate gauges (fed by a `MeteringSink` tee'd into each replica's
-  /// sink chain and drained at batch boundaries — the per-word path stays
-  /// free of atomics), checkpoint/publication counters, NVM wear gauges,
+  /// wear-rate gauges (read from each replica's own accountant by its
+  /// worker at batch boundaries — the per-word path stays free of atomics
+  /// and of extra sinks), checkpoint/publication counters, NVM wear gauges,
   /// and — via `Serving()` handles — view staleness histograms. A
   /// `MetricsRegistry::Snapshot()` polled from any thread mid-run sees
   /// live values; end-of-run counter totals reconcile exactly with the
@@ -272,6 +266,10 @@ class ShardedEngine {
   /// replica. Valid until the next `Run`.
   const Sketch* Snapshot(size_t shard, const std::string& name) const;
 
+  /// \brief Shard `shard`'s live update device for `name` (registered
+  /// with an `NvmSpec`), or nullptr. Valid until the next `Run`.
+  const LiveNvmSink* NvmSink(size_t shard, const std::string& name) const;
+
   /// \brief The live sink of shard `shard`'s checkpoint device for
   /// `name` (recovery charges its snapshot reads here), or nullptr when
   /// checkpointing was off for that entry. Valid until the next `Run`.
@@ -292,51 +290,29 @@ class ShardedEngine {
   const ShardedRunReport& last_report() const { return last_report_; }
 
  private:
-  struct Entry {
-    SketchFactory factory;
-    bool mergeable = false;
-    bool restorable = false;
-    bool has_nvm = false;
-    NvmSpec nvm_spec;  // meaningful iff has_nvm
-  };
-
   size_t IndexOf(const std::string& name) const;
   Status AddSketchEntry(SketchFactory factory, bool has_nvm,
                         const NvmSpec& nvm_spec);
 
+  // Run, step 1: clears the serving slots and progress counters, then
+  // builds one `ShardWorker` per shard (fresh replicas, sinks attached).
+  void BuildWorkers();
+  // Run, step 2: pulls `source` through the partitioner into one bounded
+  // queue and one worker thread per shard, and joins them.
+  void Partition(ItemSource& source, ShardedRunReport* report);
+  // Run, step 3: per-shard deltas, merge into shard 0, checkpoint fold,
+  // device capture and end-of-run wear publication.
+  void Consolidate(ShardedRunReport* report);
+  void PublishDeviceWear() const;
+
+  // Normalised at construction; its checkpoint_policy is the effective
+  // schedule (a zero-parameter trigger becomes disabled).
   ShardedEngineOptions options_;
-  // The effective checkpoint schedule: options_.checkpoint_policy, or the
-  // legacy checkpoint_every_items shim mapped onto EveryItems/kFull.
-  CheckpointPolicy policy_;
-  std::vector<Entry> entries_;
-  // Sink state, [shard][sketch] throughout (nullptr where not attached).
-  // Rebuilt by each Run and kept so queries can inspect devices and
-  // recovery can price against checkpoint sinks afterwards. All sinks are
-  // declared before the sketches whose accountants point at them
-  // (replicas_, snapshots_), so they outlive those sketches on
-  // destruction as well as during Run's rebuild.
-  //   nvm_sinks_: live update device behind each replica;
-  //   ckpt_sinks_: checkpoint device each snapshot serializes onto;
-  //   dirty_: dirty-set tracker feeding delta checkpoints and the
-  //           dirty-words trigger;
-  //   tee_sinks_: fan-out when a replica needs both a device and a
-  //               tracker.
-  //   meters_: telemetry tap counting each replica's device-visible
-  //            writes (present iff options_.metrics).
-  std::vector<std::vector<std::unique_ptr<LiveNvmSink>>> nvm_sinks_;
-  std::vector<std::vector<std::unique_ptr<LiveNvmSink>>> ckpt_sinks_;
-  std::vector<std::vector<std::unique_ptr<DirtyTracker>>> dirty_;
-  std::vector<std::vector<std::unique_ptr<MeteringSink>>> meters_;
-  std::vector<std::vector<std::unique_ptr<TeeSink>>> tee_sinks_;
-  // replicas_[shard][sketch]; rebuilt by each Run and kept for queries.
-  std::vector<std::vector<std::unique_ptr<Sketch>>> replicas_;
-  // snapshots_[shard][sketch]: the most recent checkpoint of each replica
-  // (persistent across a shard's checkpoints in delta mode; replaced
-  // wholesale by full snapshots). Kept after Run for recovery. Shared
-  // because full-mode serving publishes these objects directly — a
-  // reader's view may pin a superseded snapshot past the next checkpoint
-  // (or the next Run), and the control block keeps it alive.
-  std::vector<std::vector<std::shared_ptr<Sketch>>> snapshots_;
+  std::vector<ShardedSketchSpec> entries_;
+  // workers_[shard]: the shard's replicas, sinks and checkpoint snapshots.
+  // Rebuilt by each Run and kept so queries can inspect replicas and
+  // devices and recovery can restore from snapshots afterwards.
+  std::vector<std::unique_ptr<ShardWorker>> workers_;
   // serving_[sketch]: per-shard publication slots, created at AddSketch
   // and never moved (ServingHandles point at them for the engine's
   // lifetime). Written by shard workers via std::atomic_store when

@@ -27,7 +27,6 @@
 #include "baselines/space_saving.h"
 #include "baselines/stable_sketch.h"
 #include "nvm/live_sink.h"
-#include "obs/metering_sink.h"
 #include "recover/checkpoint_policy.h"
 #include "shard/sharded_engine.h"
 #include "shard/sketch_factory.h"
@@ -128,9 +127,36 @@ TEST(BatchUpdateTest, MatchesScalarAcrossBatchSizes) {
   }
 }
 
+// Counts the device-visible write stream: one word per `OnWrite`,
+// distinct non-initialisation epochs as state changes, and bulk reads.
+class CountingSink : public WriteSink {
+ public:
+  void OnWrite(uint64_t epoch, uint64_t cell) override {
+    (void)cell;
+    ++word_writes_;
+    if (epoch != 0 && (!saw_epoch_ || epoch != last_epoch_)) {
+      ++state_changes_;
+      last_epoch_ = epoch;
+      saw_epoch_ = true;
+    }
+  }
+  void OnBulkReads(uint64_t count) override { word_reads_ += count; }
+
+  uint64_t word_writes() const { return word_writes_; }
+  uint64_t state_changes() const { return state_changes_; }
+  uint64_t word_reads() const { return word_reads_; }
+
+ private:
+  uint64_t word_writes_ = 0;
+  uint64_t state_changes_ = 0;
+  uint64_t word_reads_ = 0;
+  uint64_t last_epoch_ = 0;
+  bool saw_epoch_ = false;
+};
+
 // With a sink chain attached the kernels must abandon their closed-form
 // accounting and replay every touched word in scalar program order:
-// the DirtyTracker set, the MeteringSink's distinct-epoch state-change
+// the DirtyTracker set, the counting sink's distinct-epoch state-change
 // count, and the per-cell wear of a live NVM device all pin that.
 TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
   NvmSpec spec;
@@ -143,7 +169,7 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
   for (const Maker& maker : BatchSketches()) {
     struct SinkChain {
       DirtyTracker dirty;
-      MeteringSink meter;
+      CountingSink meter;
       std::unique_ptr<LiveNvmSink> nvm;
       std::unique_ptr<TeeSink> tee;
     };

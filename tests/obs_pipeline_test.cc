@@ -386,6 +386,127 @@ TEST(ObsPipeline, StreamEngineReconcilesWithRunReport) {
             report.items_ingested + second.items_ingested);
 }
 
+// Telemetry reads each replica's accountant at batch boundaries and adds
+// nothing to any sink chain, so switching metrics on must not change a
+// single reported count or a single cell of wear.
+TEST(ObsPipeline, TelemetryPricesNothingDifferently) {
+  const Stream stream = ZipfStream(kUniverse, 1.2, kLength, kSeed);
+  struct Outcome {
+    ShardedRunReport report;
+    std::vector<std::vector<uint64_t>> wear;  // every device, per cell
+  };
+  // A table wide enough that a checkpoint interval dirties well under
+  // half of it, so the delta path runs.
+  NvmSpec spec = SmallSpec();
+  spec.config.num_cells = 1 << 14;
+  const auto run = [&stream, &spec](MetricsRegistry* metrics) {
+    ShardedEngineOptions options;
+    options.shards = kShards;
+    options.batch_items = kBatch;
+    options.checkpoint_policy = CheckpointPolicy::EveryItems(
+        kEvery / 5, CheckpointPolicy::Snapshot::kDelta);
+    options.checkpoint_nvm = spec;
+    options.metrics = metrics;
+    ShardedEngine engine(options);
+    EXPECT_TRUE(engine
+                    .AddSketch(SketchFactory::Of<CountMin>(
+                                   "count_min", size_t{4}, size_t{2048},
+                                   uint64_t{21}, false),
+                               spec)
+                    .ok());
+    EXPECT_TRUE(engine.AddSketch(MisraGriesFactory(), spec).ok());
+    Outcome out;
+    out.report = engine.Run(stream);
+    for (const std::string& name : engine.names()) {
+      for (size_t s = 0; s < kShards; ++s) {
+        out.wear.push_back(engine.NvmSink(s, name)->device().cell_wear());
+        out.wear.push_back(
+            engine.CheckpointSink(s, name)->device().cell_wear());
+      }
+    }
+    return out;
+  };
+  const auto expect_counts_equal = [](const SketchRunReport& a,
+                                      const SketchRunReport& b,
+                                      const std::string& context) {
+    EXPECT_EQ(a.updates, b.updates) << context;
+    EXPECT_EQ(a.state_changes, b.state_changes) << context;
+    EXPECT_EQ(a.word_writes, b.word_writes) << context;
+    EXPECT_EQ(a.suppressed_writes, b.suppressed_writes) << context;
+    EXPECT_EQ(a.word_reads, b.word_reads) << context;
+    EXPECT_EQ(a.peak_allocated_words, b.peak_allocated_words) << context;
+    EXPECT_EQ(a.full_checkpoints, b.full_checkpoints) << context;
+    EXPECT_EQ(a.delta_checkpoints, b.delta_checkpoints) << context;
+    EXPECT_EQ(a.snapshots_published, b.snapshots_published) << context;
+    EXPECT_EQ(a.nvm.writes_replayed, b.nvm.writes_replayed) << context;
+    EXPECT_EQ(a.nvm.max_cell_wear, b.nvm.max_cell_wear) << context;
+    EXPECT_EQ(a.nvm.energy_nj, b.nvm.energy_nj) << context;
+  };
+
+  MetricsRegistry registry;
+  const Outcome off = run(nullptr);
+  const Outcome on = run(&registry);
+  EXPECT_GT(registry.Snapshot().CounterTotal(
+                "fewstate_sketch_state_changes_total"),
+            0u);
+
+  EXPECT_GT(off.report.Find("count_min")->checkpoint.delta_checkpoints, 0u);
+  EXPECT_EQ(off.report.items_ingested, on.report.items_ingested);
+  EXPECT_EQ(off.report.shard_items, on.report.shard_items);
+  ASSERT_EQ(off.report.sketches.size(), on.report.sketches.size());
+  for (size_t i = 0; i < off.report.sketches.size(); ++i) {
+    const ShardedSketchReport& a = off.report.sketches[i];
+    const ShardedSketchReport& b = on.report.sketches[i];
+    ASSERT_EQ(a.per_shard.size(), b.per_shard.size());
+    for (size_t s = 0; s < a.per_shard.size(); ++s) {
+      expect_counts_equal(a.per_shard[s], b.per_shard[s],
+                          a.name + " shard " + std::to_string(s));
+    }
+    expect_counts_equal(a.merge, b.merge, a.name + " merge");
+    expect_counts_equal(a.checkpoint, b.checkpoint, a.name + " checkpoint");
+    expect_counts_equal(a.total, b.total, a.name + " total");
+    EXPECT_GT(a.checkpoints_taken, 0u) << a.name;
+    EXPECT_EQ(a.checkpoints_taken, b.checkpoints_taken) << a.name;
+    EXPECT_EQ(a.last_checkpoint_items, b.last_checkpoint_items) << a.name;
+  }
+  ASSERT_EQ(off.wear.size(), on.wear.size());
+  for (size_t d = 0; d < off.wear.size(); ++d) {
+    EXPECT_EQ(off.wear[d], on.wear[d]) << "device " << d;
+  }
+}
+
+// With one shard the sharded engine drains exactly like StreamEngine, so
+// both publish the same per-sketch telemetry totals.
+TEST(ObsPipeline, SingleShardTelemetryMatchesStreamEngine) {
+  const Stream stream = ZipfStream(kUniverse, 1.2, 50000, kSeed);
+
+  MetricsRegistry sharded_registry;
+  ShardedEngineOptions options;
+  options.batch_items = kBatch;
+  options.metrics = &sharded_registry;
+  ShardedEngine sharded(options);
+  ASSERT_TRUE(sharded.AddSketch(CountMinFactory()).ok());
+  ASSERT_TRUE(sharded.AddSketch(MisraGriesFactory()).ok());
+  sharded.Run(stream);
+
+  MetricsRegistry stream_registry;
+  StreamEngine engine;
+  engine.Register("count_min",
+                  std::make_unique<CountMin>(size_t{4}, size_t{128},
+                                             uint64_t{21}, false));
+  engine.Register("misra_gries", std::make_unique<MisraGries>(size_t{64}));
+  engine.AttachMetrics(&stream_registry);
+  engine.Run(stream);
+
+  const MetricsSnapshot a = sharded_registry.Snapshot();
+  const MetricsSnapshot b = stream_registry.Snapshot();
+  for (const char* family : {"fewstate_sketch_state_changes_total",
+                             "fewstate_sketch_word_writes_total"}) {
+    EXPECT_GT(b.CounterTotal(family), 0u) << family;
+    EXPECT_EQ(a.CounterTotal(family), b.CounterTotal(family)) << family;
+  }
+}
+
 TEST(ObsPipeline, SourceErrorsSurfaceInTelemetry) {
   MetricsRegistry registry;
   TraceRecorder trace;

@@ -16,6 +16,7 @@
 #include "api/item_source.h"
 #include "api/stream_engine.h"
 #include "baselines/count_min.h"
+#include "baselines/count_sketch.h"
 #include "baselines/misra_gries.h"
 #include "baselines/stable_sketch.h"
 #include "core/sample_and_hold.h"
@@ -130,6 +131,22 @@ TEST(Restorable, RestoreRejectsIncompatibleConfigurations) {
   MisraGries c(64), d(128);
   EXPECT_FALSE(d.RestoreFrom(c).ok());
   EXPECT_FALSE(AsRestorable(&a)->RestoreFrom(a).ok());  // self
+
+  // Delta restores check the same configuration as full ones.
+  const DirtyTracker dirty;
+  EXPECT_FALSE(b.RestoreDirty(a, dirty).ok());
+  CountMin conservative(4, 512, /*seed=*/7, true);  // different update mode
+  EXPECT_FALSE(conservative.RestoreDirty(a, dirty).ok());
+  CountSketch e(4, 512, /*seed=*/7), f(4, 256, /*seed=*/7);  // width
+  EXPECT_FALSE(f.RestoreDirty(e, dirty).ok());
+  StableSketch g(0.5, 16, /*seed=*/7, StableSketch::CounterMode::kMorris);
+  StableSketch h(0.5, 16, /*seed=*/7, StableSketch::CounterMode::kExact);
+  EXPECT_FALSE(h.RestoreDirty(g, dirty).ok());  // counter mode
+  StableSketch k(0.5, 16, /*seed=*/7, StableSketch::CounterMode::kMorris, 0.2);
+  EXPECT_FALSE(k.RestoreDirty(g, dirty).ok());  // Morris growth
+  // Matching configurations still restore.
+  CountMin twin(4, 512, /*seed=*/7, false);
+  EXPECT_TRUE(twin.RestoreDirty(a, dirty).ok());
 }
 
 TEST(Restorable, DirtyRestoreOfUnchangedReplicaPricesZeroCheckpointWrites) {
@@ -300,23 +317,6 @@ TEST(CheckpointPolicy, DirtyWordsTriggersDeltaCheckpoints) {
   // Cheaper than rewriting the whole table at every checkpoint.
   EXPECT_LT(count_min->checkpoint.word_writes,
             count_min->checkpoints_taken * 2048);
-}
-
-TEST(CheckpointPolicy, LegacyEveryItemsFieldStillSchedulesFullSnapshots) {
-  ShardedEngineOptions options;
-  options.shards = 1;
-  options.batch_items = 1024;
-  options.checkpoint_every_items = 10000;  // pre-policy API
-  options.checkpoint_nvm = SmallSpec();
-  ShardedEngine engine(options);
-  ASSERT_TRUE(engine.AddSketch(CountMinFactory()).ok());
-  const ShardedRunReport report =
-      engine.Run(ZipfSource(kFlows, 1.2, 55000, /*seed=*/4242));
-  const ShardedSketchReport* row = report.Find("count_min");
-  ASSERT_NE(row, nullptr);
-  EXPECT_EQ(row->checkpoints_taken, 5u);
-  EXPECT_EQ(row->checkpoint.full_checkpoints, 5u);
-  EXPECT_EQ(row->checkpoint.delta_checkpoints, 0u);
 }
 
 // --- Kill-and-recover ------------------------------------------------------

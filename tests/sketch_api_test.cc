@@ -209,7 +209,31 @@ TEST(SketchApi, CsvRowsSanitizeCallerLabels) {
   StreamEngine engine;
   engine.Register("count_min",
                   std::make_unique<CountMin>(4, 256, /*seed=*/21));
+  // Longer than any fixed-size line buffer: neither the CSV row nor the
+  // ToString line may be truncated.
+  const std::string long_name(300, 'n');
+  engine.Register(long_name, std::make_unique<CountMin>(4, 256, /*seed=*/22));
   engine.Run(stream);
+
+  // Every emitted row still has exactly the header's column count.
+  const std::string header = RunReport::CsvHeader();
+  const size_t header_commas = static_cast<size_t>(
+      std::count(header.begin(), header.end(), ','));
+  const auto expect_rows_complete = [header_commas](const std::string& csv) {
+    size_t start = 0;
+    while (start < csv.size()) {
+      size_t end = csv.find('\n', start);
+      if (end == std::string::npos) end = csv.size();
+      const std::string row = csv.substr(start, end - start);
+      if (!row.empty()) {
+        EXPECT_EQ(
+            static_cast<size_t>(std::count(row.begin(), row.end(), ',')),
+            header_commas)
+            << row;
+      }
+      start = end + 1;
+    }
+  };
 
   // A label with a comma (or quote/newline) would shift every downstream
   // column for every scraper of the CSV block; the emitter neuters it.
@@ -217,23 +241,18 @@ TEST(SketchApi, CsvRowsSanitizeCallerLabels) {
       engine.last_report().ToCsv("zipf,s=1.2\n\"x\"");
   ASSERT_FALSE(csv.empty());
   EXPECT_NE(csv.find("zipf_s=1.2__x_,count_min,"), std::string::npos);
+  expect_rows_complete(csv);
 
-  // Every emitted row still has exactly the header's column count.
-  const std::string header = RunReport::CsvHeader();
-  const size_t header_commas = static_cast<size_t>(
-      std::count(header.begin(), header.end(), ','));
-  size_t start = 0;
-  while (start < csv.size()) {
-    size_t end = csv.find('\n', start);
-    if (end == std::string::npos) end = csv.size();
-    const std::string row = csv.substr(start, end - start);
-    if (!row.empty()) {
-      EXPECT_EQ(static_cast<size_t>(std::count(row.begin(), row.end(), ',')),
-                header_commas)
-          << row;
-    }
-    start = end + 1;
-  }
+  const std::string long_label(700, 'L');
+  const std::string long_csv = engine.last_report().ToCsv(long_label);
+  EXPECT_NE(long_csv.find(long_label + "," + long_name + ","),
+            std::string::npos);
+  expect_rows_complete(long_csv);
+
+  // One header line plus one line per sketch, the long name intact.
+  const std::string text = engine.last_report().ToString();
+  EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 3);
+  EXPECT_NE(text.find(long_name + " state_changes="), std::string::npos);
 
   // Untouched labels pass through byte for byte.
   EXPECT_NE(engine.last_report().ToCsv("m=2000").find("m=2000,count_min,"),

@@ -308,7 +308,8 @@ ShardedRunReport RunCheckpointed(size_t shards, uint64_t every,
   ShardedEngineOptions options;
   options.shards = shards;
   options.batch_items = 1024;
-  options.checkpoint_every_items = every;
+  options.checkpoint_policy =
+      CheckpointPolicy::EveryItems(every, CheckpointPolicy::Snapshot::kFull);
   options.checkpoint_nvm = SmallSpec(NvmSpec::Leveling::kDirect);
   ShardedEngine engine(options);
   EXPECT_TRUE(engine
@@ -351,6 +352,7 @@ TEST(ShardedNvm, CheckpointCountMatchesThresholdsCrossed) {
   const ShardedRunReport report = RunCheckpointed(1, 10000, 55000);
   for (const ShardedSketchReport& sk : report.sketches) {
     EXPECT_EQ(sk.checkpoints_taken, 5u);
+    EXPECT_EQ(sk.checkpoint.full_checkpoints, 5u);
     EXPECT_EQ(sk.checkpoint.updates, 5u);  // one merge epoch per snapshot
     EXPECT_GT(sk.checkpoint.word_writes, 0u);
   }
