@@ -475,7 +475,7 @@ std::vector<SketchFactory> CacheSweepRoster() {
 }
 
 // The cache-sweep CSV block's own schema (11 fields after the `CSV,`
-// prefix — scripts/bench_to_json.py keys on the field count).
+// prefix; the uncached control rows carry cache_words 0).
 constexpr const char* kCacheSweepSchema =
     "sketch,skew,cache_words,total_writes,nvm_writes,cache_hits,"
     "absorbed_writes,absorbed_frac,dirty_evictions,max_cell_wear,reuse_p50";

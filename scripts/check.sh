@@ -35,23 +35,18 @@ fi
 # Batch-drain gate: both engines drain through one loop, `BatchDrainer`
 # (src/api/batch_drainer.cc), which feeds sketches through `UpdateBatch`
 # (the vectorized hot path); `StreamingAlgorithm::Drain` (item_source.cc)
-# is the only other drain. A per-item `->Update(` call in a drain file is
-# legal only as the `force_scalar` escape hatch — i.e. within two lines of a
-# `force_scalar` guard. The engine files themselves must not call either:
-# a second drain loop there is the duplication this gate exists to stop.
+# is the only other drain. Neither may call the per-item `Update(` at all
+# — sketches without a kernel reach it through the default `UpdateBatch`.
+# The engine files themselves must not call either: a second drain loop
+# there is the duplication this gate exists to stop.
 batch_gate_failed=0
 for drain_file in src/api/batch_drainer.cc src/api/item_source.cc; do
   if ! grep -q 'UpdateBatch(' "$drain_file"; then
     echo "check.sh: $drain_file no longer drains through UpdateBatch() — the batch hot path is gone" >&2
     batch_gate_failed=1
   fi
-  bad=$(awk '
-    /force_scalar/ { guard = NR }
-    /->Update\(/ { if (NR - guard > 2) print FILENAME ":" NR ": " $0 }
-  ' "$drain_file")
-  if [ -n "$bad" ]; then
-    echo "check.sh: per-item Update() in an engine drain loop outside the force_scalar escape hatch:" >&2
-    echo "$bad" >&2
+  if grep -nE '\bUpdate\(' "$drain_file"; then
+    echo "check.sh: $drain_file calls the per-item Update() — drain through UpdateBatch() only" >&2
     batch_gate_failed=1
   fi
 done

@@ -5,12 +5,9 @@
 
 namespace fewstate {
 
-BatchDrainer::BatchDrainer(bool force_scalar, MetricsRegistry* metrics,
-                           TraceRecorder* trace, MetricLabels labels)
-    : force_scalar_(force_scalar),
-      metrics_(metrics),
-      trace_(trace),
-      labels_(std::move(labels)) {}
+BatchDrainer::BatchDrainer(MetricsRegistry* metrics, TraceRecorder* trace,
+                           MetricLabels labels)
+    : metrics_(metrics), trace_(trace), labels_(std::move(labels)) {}
 
 void BatchDrainer::Add(Sketch* sketch, const std::string& name) {
   Lane& lane = lanes_.emplace_back();
@@ -35,11 +32,7 @@ void BatchDrainer::Drain(const Item* batch, size_t count) {
   for (Lane& lane : lanes_) {
     if (trace_ != nullptr) trace_->Begin(lane.span_name, "update");
     const Clock::time_point t0 = Clock::now();
-    if (force_scalar_) {
-      for (size_t j = 0; j < count; ++j) lane.sketch->Update(batch[j]);
-    } else {
-      lane.sketch->UpdateBatch(batch, count);
-    }
+    lane.sketch->UpdateBatch(batch, count);
     lane.busy_seconds +=
         std::chrono::duration<double>(Clock::now() - t0).count();
     if (trace_ != nullptr) trace_->End(lane.span_name, "update");

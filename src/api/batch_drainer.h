@@ -15,10 +15,9 @@ namespace fewstate {
 
 /// \brief The one engine drain step, shared by `StreamEngine::Run` and
 /// every `ShardedEngine` shard worker: feeds each batch to the added
-/// sketches in turn (`UpdateBatch`, or item by item through `Update` when
-/// `force_scalar` is set — bitwise identical, only slower), timing each
-/// sketch once per batch. With a tracer, a batch is a `batch_drain` span
-/// holding one `update:<name>` span per sketch. With a registry, each
+/// sketches in turn through `UpdateBatch`, timing each sketch once per
+/// batch. With a tracer, a batch is a `batch_drain` span holding one
+/// `update:<name>` span per sketch. With a registry, each
 /// batch boundary folds the sketches' accountant deltas into the
 /// `fewstate_sketch_{state_changes,word_writes}_total` counters and the
 /// `fewstate_sketch_{change,wear}_rate` gauges — read straight from the
@@ -29,8 +28,8 @@ class BatchDrainer {
  public:
   /// Metric series carry `labels` plus `{sketch=<name>}`; metrics and
   /// trace may be null.
-  BatchDrainer(bool force_scalar, MetricsRegistry* metrics,
-               TraceRecorder* trace, MetricLabels labels = {});
+  BatchDrainer(MetricsRegistry* metrics, TraceRecorder* trace,
+               MetricLabels labels = {});
 
   /// \brief Adds a borrowed sketch under `name`. Its telemetry publishes
   /// only accountant traffic from here on.
@@ -57,7 +56,6 @@ class BatchDrainer {
   };
 
   std::vector<Lane> lanes_;
-  bool force_scalar_;
   MetricsRegistry* metrics_;
   TraceRecorder* trace_;
   MetricLabels labels_;

@@ -272,7 +272,7 @@ RunReport StreamEngine::Run(ItemSource& source) {
   report.sketches.resize(entries_.size());
 
   std::vector<AccountantSnapshot> before(entries_.size());
-  BatchDrainer drainer(force_scalar_, metrics_, trace_);
+  BatchDrainer drainer(metrics_, trace_);
   for (size_t i = 0; i < entries_.size(); ++i) {
     before[i] = AccountantSnapshot::Of(entries_[i].sketch->accountant());
     drainer.Add(entries_[i].sketch, entries_[i].name);

@@ -206,15 +206,6 @@ class StreamEngine {
   /// \brief The report of the most recent `Run` (empty before the first).
   const RunReport& last_report() const { return last_report_; }
 
-  /// \brief Escape hatch for A/B benchmarking: when true, `Run` feeds
-  /// sketches item by item through the virtual `Update` path instead of
-  /// `UpdateBatch`. Results are bitwise identical either way (the batch
-  /// kernels' contract); only throughput differs.
-  void set_force_scalar(bool force) { force_scalar_ = force; }
-
-  /// \brief Whether the scalar update path is forced.
-  bool force_scalar() const { return force_scalar_; }
-
  private:
   struct Entry {
     std::string name;
@@ -229,7 +220,6 @@ class StreamEngine {
   std::vector<Entry> entries_;
   MetricsRegistry* metrics_ = nullptr;  // borrowed; null = telemetry off
   TraceRecorder* trace_ = nullptr;      // borrowed; null = tracing off
-  bool force_scalar_ = false;
   RunReport last_report_;
 };
 

@@ -29,16 +29,17 @@ void CountMin::Update(Item item) {
     return;
   }
   // Conservative update: new estimate is min+1; only counters below it are
-  // raised.
+  // raised. Every row takes part (the estimate is a min over all of them);
+  // the row indices borrow the batch scratch.
+  if (batch_idx_.size() < depth_) batch_idx_.resize(depth_);
+  uint64_t* idxs = batch_idx_.data();
   uint64_t min_count = std::numeric_limits<uint64_t>::max();
-  size_t idxs[64];
-  const size_t depth_clamped = std::min<size_t>(depth_, 64);
-  for (size_t d = 0; d < depth_clamped; ++d) {
+  for (size_t d = 0; d < depth_; ++d) {
     idxs[d] = d * width_ + hashes_[d].HashRange(item, width_);
     min_count = std::min(min_count, table_->Get(idxs[d]));
   }
   const uint64_t target = min_count + 1;
-  for (size_t d = 0; d < depth_clamped; ++d) {
+  for (size_t d = 0; d < depth_; ++d) {
     if (table_->Get(idxs[d]) < target) {
       table_->Set(idxs[d], target);
     }
@@ -52,11 +53,10 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
   uint64_t* table = table_->BatchData();
   const uint64_t base = table_->base_cell();
   const bool collect = accountant_.needs_cell_addresses();
-  const size_t rows = conservative_ ? std::min<size_t>(depth_, 64) : depth_;
   for (size_t off = 0; off < n; off += kChunk) {
     const size_t c = std::min(kChunk, n - off);
-    batch_idx_.resize(rows * c);
-    for (size_t d = 0; d < rows; ++d) {
+    batch_idx_.resize(depth_ * c);
+    for (size_t d = 0; d < depth_; ++d) {
       hashes_[d].HashRangeBatch(items + off, c, width_,
                                 batch_idx_.data() + d * c);
     }
@@ -89,19 +89,19 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
       for (size_t i = 0; i < c; ++i) {
         batch_scratch_.BeginItem();
         uint64_t min_count = std::numeric_limits<uint64_t>::max();
-        for (size_t d = 0; d < rows; ++d) {
+        for (size_t d = 0; d < depth_; ++d) {
           min_count =
               std::min(min_count, table[d * width_ + batch_idx_[d * c + i]]);
         }
         const uint64_t target = min_count + 1;
-        for (size_t d = 0; d < rows; ++d) {
+        for (size_t d = 0; d < depth_; ++d) {
           const size_t cell = d * width_ + batch_idx_[d * c + i];
           if (table[cell] < target) {
             table[cell] = target;
             batch_scratch_.Write(base + cell);
           }
         }
-        batch_scratch_.Read(2 * rows);
+        batch_scratch_.Read(2 * depth_);
       }
     }
     accountant_.ApplyBatch(batch_scratch_);

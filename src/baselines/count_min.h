@@ -91,7 +91,8 @@ class CountMin : public MergeableSketch, public RestorableSketch {
   StateAccountant accountant_;
   std::vector<PolynomialHash> hashes_;
   std::unique_ptr<TrackedArray<uint64_t>> table_;
-  // Reused batch-kernel scratch (bounded by the internal chunk size).
+  // Reused kernel scratch (bounded by the internal chunk size); the
+  // conservative `Update` also keeps its per-row indices in `batch_idx_`.
   BatchUpdateScratch batch_scratch_;
   std::vector<uint64_t> batch_idx_;
 };

@@ -31,7 +31,7 @@ ShardWorker::ShardWorker(
     const ShardedEngineOptions& options,
     const std::vector<std::unique_ptr<SketchServingSlots>>& serving,
     std::atomic<uint64_t>* progress)
-    : drainer_(options.force_scalar, options.metrics, options.trace,
+    : drainer_(options.metrics, options.trace,
                {{"shard", std::to_string(shard)}}),
       policy_(options.checkpoint_policy),
       serve_(options.serve_snapshots),

@@ -101,6 +101,24 @@ TEST(CountMin, ConservativeUpdateIsTighter) {
   EXPECT_LE(cons_err, plain_err);
 }
 
+// The estimate is a min over every row, so a conservative update must
+// raise every row too — including rows past 64, on both update paths.
+TEST(CountMin, ConservativeDeepSketchNeverUnderestimates) {
+  Stream stream = TestStream(300, 6000, 18);
+  stream.insert(stream.end(), 100, Item{42});
+  const StreamStats oracle(stream);
+  CountMin scalar(65, 64, 7, /*conservative=*/true);
+  CountMin batched(65, 64, 7, /*conservative=*/true);
+  for (Item item : stream) scalar.Update(item);
+  batched.Consume(stream);
+  for (const auto& [item, f] : oracle.frequencies()) {
+    EXPECT_GE(scalar.EstimateFrequency(item), static_cast<double>(f))
+        << item;
+    EXPECT_GE(batched.EstimateFrequency(item), static_cast<double>(f))
+        << item;
+  }
+}
+
 TEST(CountMin, ChangesStateOnEveryUpdate) {
   const Stream stream = TestStream(500, 5000, 14);
   CountMin cm(4, 512, 15);

@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -227,28 +228,48 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
   }
 }
 
+// `T` with its batch kernel replaced by the per-item reference loop — the
+// scalar side of an engine-level comparison. Still a `T` to `dynamic_cast`,
+// so merges and delta checkpoints treat it exactly like the original.
+template <typename T>
+class ScalarOnly : public T {
+ public:
+  using T::T;
+  void UpdateBatch(const Item* items, size_t n) override {
+    for (size_t i = 0; i < n; ++i) this->Update(items[i]);
+  }
+};
+
+// `SketchFactory::Of<T>`, minting `ScalarOnly<T>` replicas when `scalar`.
+template <typename T, typename... Args>
+SketchFactory FactoryOf(bool scalar, std::string name, Args... args) {
+  if (scalar) {
+    return SketchFactory::Of<ScalarOnly<T>>(std::move(name), args...);
+  }
+  return SketchFactory::Of<T>(std::move(name), args...);
+}
+
 // A checkpoint trigger landing mid-batch (checkpoint_every = 1000 items,
 // drain batches of 4096) must produce identical durability traffic on
-// both drain paths: the trigger fires at the same batch boundaries
+// both update paths: the trigger fires at the same batch boundaries
 // either way, and the delta checkpoints serialize identical dirty sets.
 TEST(BatchUpdateTest, CheckpointStraddlingBatchMatchesScalar) {
-  const auto run = [](bool force_scalar) -> ShardedRunReport {
+  const auto run = [](bool scalar) -> ShardedRunReport {
     ShardedEngineOptions options;
     options.shards = 1;
     options.batch_items = 4096;
-    options.force_scalar = force_scalar;
     options.checkpoint_policy = CheckpointPolicy::EveryItems(
         1000, CheckpointPolicy::Snapshot::kDelta);
     options.checkpoint_nvm.config.num_cells = 1 << 14;
     ShardedEngine engine(options);
     EXPECT_TRUE(engine
-                    .AddSketch(SketchFactory::Of<CountMin>(
-                        "count_min", size_t{4}, size_t{256}, uint64_t{7},
-                        false))
+                    .AddSketch(FactoryOf<CountMin>(scalar, "count_min",
+                                                   size_t{4}, size_t{256},
+                                                   uint64_t{7}, false))
                     .ok());
     EXPECT_TRUE(engine
-                    .AddSketch(SketchFactory::Of<MisraGries>("misra_gries",
-                                                             size_t{64}))
+                    .AddSketch(FactoryOf<MisraGries>(scalar, "misra_gries",
+                                                     size_t{64}))
                     .ok());
     return engine.Run(ZipfSource(5000, 1.2, 30000, /*seed=*/321));
   };
