@@ -60,6 +60,20 @@ if [ "$batch_gate_failed" -ne 0 ]; then
   exit 1
 fi
 
+# Batch-sink gate: `StateAccountant::ApplyBatch` hands a batch's write
+# records to the sink in one `OnWrites(` call. A per-record `OnWrite(`
+# loop there is the one-virtual-call-per-word fan-out that batch-native
+# sinks (bitmap dirty set, chunked wear-leveling maps) exist to avoid.
+apply_batch=$(awk '/void ApplyBatch\(/ {on = 1} on {print} on && /^  }$/ {exit}' src/state/state_accountant.h)
+if ! printf '%s\n' "$apply_batch" | grep -q 'OnWrites('; then
+  echo "check.sh: StateAccountant::ApplyBatch no longer hands records to the sink through OnWrites()" >&2
+  exit 1
+fi
+if printf '%s\n' "$apply_batch" | grep -nE '\bOnWrite\('; then
+  echo "check.sh: StateAccountant::ApplyBatch calls the per-record OnWrite() — hand the batch over with one OnWrites() call" >&2
+  exit 1
+fi
+
 # Source-error gate: a `FileSource` or `SocketSource` constructed in
 # examples/ must have its error channel consulted in the same file
 # (`.ok()` or `.status()`). An unopenable trace — or a lossy, truncated,

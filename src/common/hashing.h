@@ -85,7 +85,8 @@ class TabulationHash {
   /// \brief Hash mapped to [0, range) (range > 0).
   uint64_t HashRange(uint64_t x, uint64_t range) const;
 
-  /// \brief Batch variant: out[i] = HashRange(items[i], range).
+  /// \brief Batch variant: out[i] = HashRange(items[i], range). `out` may
+  /// be `items` (each item is read before its slot is written).
   void HashRangeBatch(const uint64_t* items, size_t n, uint64_t range,
                       uint64_t* out) const;
 

@@ -1,6 +1,7 @@
 #ifndef FEWSTATE_NVM_LIVE_SINK_H_
 #define FEWSTATE_NVM_LIVE_SINK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 
@@ -72,6 +73,14 @@ class LiveNvmSink : public WriteSink {
   void OnWrite(uint64_t epoch, uint64_t cell) override {
     (void)epoch;  // wear does not depend on when, only on where
     path_.Write(cell);
+  }
+
+  /// \brief Prices a batch of word writes, in program order, through the
+  /// path's batch mapping (bitwise the same as one `OnWrite` per record).
+  void OnWrites(uint64_t base_epoch, const CellWrite* writes,
+                size_t n) override {
+    (void)base_epoch;
+    path_.WriteBatch(writes, n);
   }
 
   /// \brief Prices `count` aggregate reads (energy/latency; no wear).

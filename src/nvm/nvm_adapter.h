@@ -1,6 +1,7 @@
 #ifndef FEWSTATE_NVM_NVM_ADAPTER_H_
 #define FEWSTATE_NVM_NVM_ADAPTER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -80,6 +81,27 @@ class NvmCostPath {
       device_->Write(policy_->MapWrite(victim));
       ++writes_;
     });
+  }
+
+  /// \brief Prices `n` word writes, in program order — bitwise the same
+  /// as `Write(writes[i].cell)` for each record. Uncached, the cells are
+  /// mapped a chunk at a time through one `MapWrites` call; with a cache
+  /// tier each write still walks the tier on its own.
+  void WriteBatch(const CellWrite* writes, size_t n) {
+    if (cache_ != nullptr) {
+      for (size_t i = 0; i < n; ++i) Write(writes[i].cell);
+      return;
+    }
+    constexpr size_t kChunk = 256;
+    uint64_t logical[kChunk];
+    uint64_t physical[kChunk];
+    for (size_t done = 0; done < n; done += kChunk) {
+      const size_t k = n - done < kChunk ? n - done : kChunk;
+      for (size_t i = 0; i < k; ++i) logical[i] = writes[done + i].cell;
+      policy_->MapWrites(logical, k, physical);
+      for (size_t i = 0; i < k; ++i) device_->Write(physical[i]);
+    }
+    writes_ += n;
   }
 
   /// \brief Prices `count` aggregate reads (energy/latency; no wear).

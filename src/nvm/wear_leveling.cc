@@ -2,36 +2,56 @@
 
 namespace fewstate {
 
+namespace {
+
+// `x % n`, skipping the division when `x` is already in range (the common
+// case: logical addresses are dense from 0 and devices are sized to fit).
+inline uint64_t Wrap(uint64_t x, uint64_t n) { return x < n ? x : x % n; }
+
+}  // namespace
+
 DirectMapping::DirectMapping(uint64_t num_cells)
     : num_cells_(num_cells == 0 ? 1 : num_cells) {}
 
-uint64_t DirectMapping::MapWrite(uint64_t logical) {
-  return logical % num_cells_;
+void DirectMapping::MapWrites(const uint64_t* logicals, size_t n,
+                              uint64_t* physical) {
+  for (size_t i = 0; i < n; ++i) physical[i] = Wrap(logicals[i], num_cells_);
 }
 
 RotatingMapping::RotatingMapping(uint64_t num_cells, uint64_t rotate_period)
     : num_cells_(num_cells == 0 ? 1 : num_cells),
-      rotate_period_(rotate_period == 0 ? 1 : rotate_period) {}
+      rotate_period_(rotate_period == 0 ? 1 : rotate_period),
+      until_rotate_(rotate_period_) {}
 
-uint64_t RotatingMapping::MapWrite(uint64_t logical) {
-  const uint64_t physical = (logical + offset_) % num_cells_;
-  if (++writes_ % rotate_period_ == 0) {
-    offset_ = (offset_ + 1) % num_cells_;
+void RotatingMapping::MapWrites(const uint64_t* logicals, size_t n,
+                                uint64_t* physical) {
+  for (size_t i = 0; i < n; ++i) {
+    physical[i] = Wrap(logicals[i] + offset_, num_cells_);
+    // The offset advances one slot after every `rotate_period_` writes.
+    if (--until_rotate_ == 0) {
+      until_rotate_ = rotate_period_;
+      offset_ = offset_ + 1 == num_cells_ ? 0 : offset_ + 1;
+    }
   }
-  return physical;
 }
 
 HashedMapping::HashedMapping(uint64_t num_cells, uint64_t seed)
     : num_cells_(num_cells == 0 ? 1 : num_cells), hash_(seed) {}
 
-uint64_t HashedMapping::MapWrite(uint64_t logical) {
-  // Version the logical cell so successive writes scatter.
-  if (logical >= write_counts_.size()) {
-    write_counts_.resize(logical + 1, 0);
+void HashedMapping::MapWrites(const uint64_t* logicals, size_t n,
+                              uint64_t* physical) {
+  // Version each logical cell so successive writes scatter. Versions
+  // advance in program order (a cell written twice in one batch gets two
+  // consecutive versions); the keys are then hashed in one pass.
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t logical = logicals[i];
+    if (logical >= write_counts_.size()) {
+      write_counts_.resize(logical + 1, 0);
+    }
+    const uint64_t version = write_counts_[logical]++;
+    physical[i] = Mix64(logical * 0x9e3779b97f4a7c15ULL + version);
   }
-  const uint64_t version = write_counts_[logical]++;
-  return hash_.HashRange(Mix64(logical * 0x9e3779b97f4a7c15ULL + version),
-                         num_cells_);
+  hash_.HashRangeBatch(physical, n, num_cells_, physical);
 }
 
 std::unique_ptr<WearLevelingPolicy> MakeDirectMapping(uint64_t num_cells) {

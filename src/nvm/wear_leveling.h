@@ -1,6 +1,7 @@
 #ifndef FEWSTATE_NVM_WEAR_LEVELING_H_
 #define FEWSTATE_NVM_WEAR_LEVELING_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -13,13 +14,27 @@ namespace fewstate {
 /// spreading writes to avoid hot cells (§1.1: wear leveling
 /// [Cha07, CHK07]; later systems minimise total writes instead [BFG+15] —
 /// which is the paper's algorithmic angle).
+///
+/// Each policy implements one batch mapping, `MapWrites`; the scalar
+/// `MapWrite` is its n = 1 case, so a batch and the same writes mapped
+/// one at a time advance the remapping state identically.
 class WearLevelingPolicy {
  public:
   virtual ~WearLevelingPolicy() = default;
 
-  /// \brief Physical cell for a write to `logical`; may advance internal
+  /// \brief Maps `n` writes, in program order: `physical[i]` is the
+  /// physical cell for the write to `logicals[i]`, exactly as if
+  /// `MapWrite` were called on each in turn. May advance internal
   /// remapping state.
-  virtual uint64_t MapWrite(uint64_t logical) = 0;
+  virtual void MapWrites(const uint64_t* logicals, size_t n,
+                         uint64_t* physical) = 0;
+
+  /// \brief Physical cell for one write to `logical`.
+  uint64_t MapWrite(uint64_t logical) {
+    uint64_t physical = 0;
+    MapWrites(&logical, 1, &physical);
+    return physical;
+  }
 
   /// \brief Policy name for reports.
   virtual const char* name() const = 0;
@@ -30,7 +45,8 @@ class WearLevelingPolicy {
 class DirectMapping : public WearLevelingPolicy {
  public:
   explicit DirectMapping(uint64_t num_cells);
-  uint64_t MapWrite(uint64_t logical) override;
+  void MapWrites(const uint64_t* logicals, size_t n,
+                 uint64_t* physical) override;
   const char* name() const override { return "direct"; }
 
  private:
@@ -43,13 +59,14 @@ class DirectMapping : public WearLevelingPolicy {
 class RotatingMapping : public WearLevelingPolicy {
  public:
   RotatingMapping(uint64_t num_cells, uint64_t rotate_period);
-  uint64_t MapWrite(uint64_t logical) override;
+  void MapWrites(const uint64_t* logicals, size_t n,
+                 uint64_t* physical) override;
   const char* name() const override { return "rotate"; }
 
  private:
   uint64_t num_cells_;
   uint64_t rotate_period_;
-  uint64_t writes_ = 0;
+  uint64_t until_rotate_;  // writes left before the next rotation step
   uint64_t offset_ = 0;
 };
 
@@ -62,7 +79,8 @@ class RotatingMapping : public WearLevelingPolicy {
 class HashedMapping : public WearLevelingPolicy {
  public:
   HashedMapping(uint64_t num_cells, uint64_t seed);
-  uint64_t MapWrite(uint64_t logical) override;
+  void MapWrites(const uint64_t* logicals, size_t n,
+                 uint64_t* physical) override;
   const char* name() const override { return "hashed"; }
 
  private:

@@ -72,11 +72,13 @@ struct CheckpointPolicy {
   /// \brief True iff any trigger is configured.
   bool enabled() const { return trigger != Trigger::kNone; }
 
-  /// \brief True iff the policy needs a `DirtyTracker` on each replica
-  /// (delta serialization, or the dirty-set trigger itself).
-  bool needs_dirty_tracking() const {
-    return enabled() && (snapshot == Snapshot::kDelta ||
-                         trigger == Trigger::kDirtyWords);
+  /// \brief True iff a checkpointed replica needs a `DirtyTracker`:
+  /// the dirty-set trigger reads one on every replica, and delta
+  /// serialization reads one only for a `restorable` sketch (any other
+  /// sketch always takes full snapshots, so its tracker would go unread).
+  bool needs_dirty_tracking(bool restorable) const {
+    return trigger == Trigger::kDirtyWords ||
+           (enabled() && snapshot == Snapshot::kDelta && restorable);
   }
 
   /// \brief No checkpointing (the default).

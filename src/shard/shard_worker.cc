@@ -51,9 +51,9 @@ ShardWorker::ShardWorker(
     Lane& lane = lanes_.emplace_back(e);
     lane.slot = &serving[i]->slots[shard];
     // Fresh replica: a sharded run consumes its replicas by merging them.
-    // An NVM spec gets a live device; a sketch the checkpoint policy
-    // tracks deltas for gets a `DirtyTracker`; one needing both gets them
-    // tee'd. Sinks attach before any update so they see the replica's
+    // An NVM spec gets a live device; a sketch whose dirty set the
+    // checkpoint policy reads gets a `DirtyTracker`; one needing both gets
+    // them tee'd. Sinks attach before any update so they see the replica's
     // whole lifetime.
     lane.replica = e.factory.Make();
     if (e.has_nvm) lane.nvm = std::make_unique<LiveNvmSink>(e.nvm_spec);
@@ -61,7 +61,7 @@ ShardWorker::ShardWorker(
       // Checkpoint device: persists across this shard's checkpoints
       // (re-snapshotting the same region accrues wear).
       lane.ckpt = std::make_unique<LiveNvmSink>(options.checkpoint_nvm);
-      if (policy_.needs_dirty_tracking()) {
+      if (policy_.needs_dirty_tracking(e.restorable)) {
         lane.dirty = std::make_unique<DirtyTracker>();
       }
     }

@@ -101,7 +101,9 @@ class ShardWorker {
     // them, so they outlive those sketches on destruction.
     std::unique_ptr<LiveNvmSink> nvm;
     std::unique_ptr<LiveNvmSink> ckpt;
-    std::unique_ptr<DirtyTracker> dirty;  // delta or dirty-words policies
+    // Only when the policy reads it: the dirty-words trigger, or deltas
+    // of a restorable sketch.
+    std::unique_ptr<DirtyTracker> dirty;
     std::unique_ptr<TeeSink> tee;         // when both dirty and nvm exist
     std::unique_ptr<Sketch> replica;
     // Persistent across checkpoints in delta mode; replaced wholesale by

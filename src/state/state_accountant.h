@@ -23,12 +23,6 @@ namespace fewstate {
 /// resets it without releasing the record buffer.
 class BatchUpdateScratch {
  public:
-  /// \brief One changed word: which in-batch update wrote which cell.
-  struct WriteRecord {
-    uint64_t cell = 0;
-    uint32_t update_index = 0;
-  };
-
   /// \brief Starts a new batch. `collect_cells` must be
   /// `accountant->needs_cell_addresses()`; when false, Write() skips
   /// recording addresses and ApplyBatch reconciles aggregates only.
@@ -58,7 +52,7 @@ class BatchUpdateScratch {
     if (collect_cells_) {
       const uint32_t index = static_cast<uint32_t>(items_begun_ - 1);
       for (uint64_t w = 0; w < words; ++w) {
-        writes_.push_back(WriteRecord{cell + w, index});
+        writes_.push_back(CellWrite{cell + w, index});
       }
     }
   }
@@ -102,10 +96,10 @@ class BatchUpdateScratch {
   uint64_t read_words() const { return read_words_; }
 
   /// \brief Program-order write records (empty unless collecting cells).
-  const std::vector<WriteRecord>& writes() const { return writes_; }
+  const std::vector<CellWrite>& writes() const { return writes_; }
 
  private:
-  std::vector<WriteRecord> writes_;
+  std::vector<CellWrite> writes_;
   bool collect_cells_ = false;
   uint64_t items_begun_ = 0;
   bool current_dirty_ = false;
@@ -190,10 +184,11 @@ class StateAccountant {
   /// BeginUpdate/Record* sequence had run update by update: the pre-batch
   /// pending update is settled by the batch's first BeginItem, every
   /// finished in-batch update with a write counts toward the paper metric,
-  /// the last update's dirtiness stays pending, and write records replay
-  /// to the sink in program order under their scalar epoch numbers. Reads
-  /// are forwarded as one aggregate `OnBulkReads` (sinks price reads
-  /// additively, so aggregation is exact).
+  /// the last update's dirtiness stays pending, and the write records go
+  /// to the sink in program order as one `OnWrites` call, which carries
+  /// their scalar epoch numbers. Reads are forwarded as one aggregate
+  /// `OnBulkReads` (sinks price reads additively, so aggregation is
+  /// exact).
   void ApplyBatch(const BatchUpdateScratch& scratch) {
     const uint64_t n = scratch.items_begun();
     if (n == 0) return;
@@ -206,8 +201,9 @@ class StateAccountant {
     suppressed_writes_ += scratch.suppressed_words();
     word_reads_ += scratch.read_words();
     if (sink_ != nullptr) {
-      for (const BatchUpdateScratch::WriteRecord& record : scratch.writes()) {
-        sink_->OnWrite(base_epoch + record.update_index + 1, record.cell);
+      const std::vector<CellWrite>& writes = scratch.writes();
+      if (!writes.empty()) {
+        sink_->OnWrites(base_epoch, writes.data(), writes.size());
       }
       if (scratch.read_words() > 0) sink_->OnBulkReads(scratch.read_words());
     }

@@ -1,11 +1,21 @@
 #ifndef FEWSTATE_STATE_WRITE_SINK_H_
 #define FEWSTATE_STATE_WRITE_SINK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace fewstate {
+
+/// \brief One changed word of a batch of stream updates: which in-batch
+/// update (0-based `update_index`) wrote which logical `cell`. Batch
+/// kernels record these in program order; `WriteSink::OnWrites` receives
+/// them as one array.
+struct CellWrite {
+  uint64_t cell = 0;
+  uint32_t update_index = 0;
+};
 
 /// \brief Streaming consumer of an algorithm's state-write events — the
 /// seam between state accounting and write pricing.
@@ -22,6 +32,13 @@ namespace fewstate {
 ///  * `OnWrite(epoch, cell)` fires once per word whose value actually
 ///    changed (suppressed writes never reach the sink — they are not state
 ///    changes and cost no wear), in the exact order the algorithm wrote.
+///  * `OnWrites(base_epoch, writes, n)` delivers one batch of such events
+///    at once (`StateAccountant::ApplyBatch` makes one call per batch).
+///    The array is in program order, and record `i` was written during
+///    stream update `base_epoch + writes[i].update_index + 1`. A sink must
+///    end up exactly as if `OnWrite` had fired for each record in order;
+///    the default implementation is that loop, so a sink overrides it
+///    only to go faster.
 ///  * `OnBulkReads(count)` fires for aggregate read traffic (reads cost
 ///    energy/latency on asymmetric memories but never wear cells, so only
 ///    the count matters — no addresses).
@@ -39,6 +56,16 @@ class WriteSink {
   /// \brief One word of state changed: `cell` was written during stream
   /// update `epoch` (0 = initialisation).
   virtual void OnWrite(uint64_t epoch, uint64_t cell) = 0;
+
+  /// \brief `n` words of state changed during one batch, in program
+  /// order; record `i` belongs to update `base_epoch + update_index + 1`.
+  /// Equivalent to that sequence of `OnWrite` calls.
+  virtual void OnWrites(uint64_t base_epoch, const CellWrite* writes,
+                        size_t n) {
+    for (size_t i = 0; i < n; ++i) {
+      OnWrite(base_epoch + writes[i].update_index + 1, writes[i].cell);
+    }
+  }
 
   /// \brief `count` words of state were read (aggregate; no addresses).
   virtual void OnBulkReads(uint64_t count) { (void)count; }
@@ -62,6 +89,13 @@ class TeeSink : public WriteSink {
   /// \brief Forwards the write event to every sink, in order.
   void OnWrite(uint64_t epoch, uint64_t cell) override {
     for (WriteSink* sink : sinks_) sink->OnWrite(epoch, cell);
+  }
+  /// \brief Hands the whole batch to every sink, in order. The sinks share
+  /// no state, so each sees exactly the events it would have seen
+  /// record by record.
+  void OnWrites(uint64_t base_epoch, const CellWrite* writes,
+                size_t n) override {
+    for (WriteSink* sink : sinks_) sink->OnWrites(base_epoch, writes, n);
   }
   /// \brief Forwards the read count to every sink, in order.
   void OnBulkReads(uint64_t count) override {

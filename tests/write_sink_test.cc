@@ -1,23 +1,29 @@
 // The WriteSink pipeline: live NVM pricing must agree bitwise with the
 // recorded-log replay path on streams the log can hold (they drive one
-// costing core), TeeSink must be equivalent to each sink alone, truncated
-// replays must say so, and sharded checkpoint wear must be deterministic.
+// costing core), TeeSink must be equivalent to each sink alone, every
+// sink's batch `OnWrites` must equal its per-record `OnWrite` loop,
+// truncated replays must say so, and sharded checkpoint wear must be
+// deterministic.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/item_source.h"
 #include "api/stream_engine.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
+#include "common/random.h"
 #include "core/full_sample_and_hold.h"
 #include "nvm/live_sink.h"
 #include "nvm/nvm_adapter.h"
 #include "shard/sharded_engine.h"
 #include "shard/sketch_factory.h"
+#include "state/dirty_tracker.h"
 #include "state/state_accountant.h"
 #include "state/write_log.h"
 #include "state/write_sink.h"
@@ -213,6 +219,163 @@ TEST(WriteSink, ReplaySurfacesDroppedWritesAndLiveSinkNeverDrops) {
   EXPECT_EQ(exact.writes_replayed, alg.accountant().word_writes());
   // Truncation under-reports wear; the live device saw everything.
   EXPECT_LT(replayed.max_cell_wear, exact.max_cell_wear);
+}
+
+// One batch as `StateAccountant::ApplyBatch` hands it to a sink.
+struct RecordedBatch {
+  uint64_t base_epoch = 0;
+  std::vector<CellWrite> writes;
+};
+
+// Batches of program-order write records over `cells` logical cells: a
+// hot region written many times over (repeats within and across batches),
+// a cold tail, and addresses past the 4096-cell test device so the
+// modulo path runs too. Sizes straddle the cost path's 256-record chunk,
+// and an empty batch is included.
+std::vector<RecordedBatch> MixedBatches(uint64_t cells, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<RecordedBatch> batches;
+  uint64_t epoch = 0;
+  for (const size_t size : {size_t{1}, size_t{7}, size_t{0}, size_t{255},
+                            size_t{256}, size_t{257}, size_t{1000},
+                            size_t{3}, size_t{4096}}) {
+    RecordedBatch batch;
+    batch.base_epoch = epoch;
+    uint32_t update = 0;
+    for (size_t i = 0; i < size; ++i) {
+      if (rng.Bernoulli(0.4)) ++update;  // several words per update
+      const uint64_t cell =
+          rng.Bernoulli(0.7) ? rng.UniformInt(16) : rng.UniformInt(cells);
+      batch.writes.push_back(CellWrite{cell, update});
+    }
+    epoch += uint64_t{update} + 1;
+    batches.push_back(std::move(batch));
+  }
+  return batches;
+}
+
+void FeedBatches(const std::vector<RecordedBatch>& batches, WriteSink* sink) {
+  for (const RecordedBatch& batch : batches) {
+    sink->OnWrites(batch.base_epoch, batch.writes.data(), batch.writes.size());
+  }
+}
+
+void FeedRecordByRecord(const std::vector<RecordedBatch>& batches,
+                        WriteSink* sink) {
+  for (const RecordedBatch& batch : batches) {
+    for (const CellWrite& w : batch.writes) {
+      sink->OnWrite(batch.base_epoch + w.update_index + 1, w.cell);
+    }
+  }
+}
+
+void ExpectLogsIdentical(const WriteLog& a, const WriteLog& b) {
+  ASSERT_EQ(a.records().size(), b.records().size());
+  for (size_t i = 0; i < a.records().size(); ++i) {
+    EXPECT_EQ(a.records()[i].epoch, b.records()[i].epoch) << i;
+    EXPECT_EQ(a.records()[i].cell, b.records()[i].cell) << i;
+  }
+  EXPECT_EQ(a.total_appends(), b.total_appends());
+  EXPECT_EQ(a.dropped(), b.dropped());
+}
+
+void ExpectCacheStatsIdentical(const CacheStats& a, const CacheStats& b) {
+  EXPECT_EQ(a.total_writes, b.total_writes);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.absorbed_writes, b.absorbed_writes);
+  EXPECT_EQ(a.dirty_evictions, b.dirty_evictions);
+  EXPECT_EQ(a.clean_evictions, b.clean_evictions);
+  EXPECT_EQ(a.writebacks, b.writebacks);
+  EXPECT_EQ(a.writebacks_pending, b.writebacks_pending);
+  EXPECT_EQ(a.flushes, b.flushes);
+  EXPECT_EQ(a.reuse_cold, b.reuse_cold);
+  EXPECT_EQ(a.reuse_hist, b.reuse_hist);
+}
+
+// The default `OnWrites` is the per-record loop under the epoch rule
+// `base_epoch + update_index + 1`; `WriteLog` inherits it and must keep
+// the same records, epochs and capacity cut-off.
+TEST(WriteSinkBatch, WriteLogAndDefaultLoopMatchPerRecordOnWrite) {
+  const std::vector<RecordedBatch> batches = MixedBatches(1 << 13, 31);
+
+  RecordingSink batched_default;
+  RecordingSink looped_default;
+  FeedBatches(batches, &batched_default);
+  FeedRecordByRecord(batches, &looped_default);
+  ASSERT_EQ(batched_default.writes.size(), looped_default.writes.size());
+  for (size_t i = 0; i < looped_default.writes.size(); ++i) {
+    EXPECT_EQ(batched_default.writes[i].epoch, looped_default.writes[i].epoch);
+    EXPECT_EQ(batched_default.writes[i].cell, looped_default.writes[i].cell);
+  }
+
+  // Unbounded, and cut off mid-batch (both within and at a batch edge).
+  for (const uint64_t capacity : {uint64_t{1} << 20, uint64_t{300},
+                                  uint64_t{263}, uint64_t{0}}) {
+    WriteLog batched(capacity);
+    WriteLog looped(capacity);
+    FeedBatches(batches, &batched);
+    FeedRecordByRecord(batches, &looped);
+    SCOPED_TRACE(capacity);
+    ExpectLogsIdentical(batched, looped);
+  }
+}
+
+// Every leveling policy, cached or not: batch pricing must leave the
+// device, the report and the cache tier bitwise where per-record pricing
+// leaves them. Hashed leveling is the sensitive case — its per-cell
+// versions must advance in program order within a batch.
+TEST(WriteSinkBatch, LiveNvmSinkOnWritesMatchesOnWriteLoopForEverySpec) {
+  const std::vector<RecordedBatch> batches = MixedBatches(3 << 12, 32);
+  std::vector<NvmSpec> specs;
+  for (NvmSpec::Leveling leveling :
+       {NvmSpec::Leveling::kDirect, NvmSpec::Leveling::kRotating,
+        NvmSpec::Leveling::kHashed}) {
+    specs.push_back(SmallSpec(leveling));
+    NvmSpec cached = SmallSpec(leveling);
+    cached.cache.sets = 4;
+    cached.cache.ways = 2;
+    cached.cache.line_words = 4;
+    specs.push_back(cached);
+  }
+  for (const NvmSpec& spec : specs) {
+    SCOPED_TRACE(std::string(spec.leveling_name()) +
+                 (spec.cache.enabled() ? " cached" : ""));
+    LiveNvmSink batched(spec);
+    LiveNvmSink looped(spec);
+    FeedBatches(batches, &batched);
+    FeedRecordByRecord(batches, &looped);
+    const NvmReplayReport a = batched.Report();
+    const NvmReplayReport b = looped.Report();
+    ExpectReportsIdentical(a, b);
+    EXPECT_EQ(a.cache_enabled, b.cache_enabled);
+    ExpectCacheStatsIdentical(a.cache, b.cache);
+    EXPECT_EQ(batched.device().cell_wear(), looped.device().cell_wear());
+    EXPECT_EQ(batched.device().total_writes(), looped.device().total_writes());
+  }
+}
+
+// A tee hands the whole batch to each sink in turn; a tracker and a
+// device behind it end up exactly as under per-record fan-out.
+TEST(WriteSinkBatch, TeeOfTrackerAndDeviceMatchesOnWriteLoop) {
+  const std::vector<RecordedBatch> batches = MixedBatches(3 << 12, 33);
+  const NvmSpec spec = SmallSpec(NvmSpec::Leveling::kHashed);
+
+  DirtyTracker batched_dirty;
+  LiveNvmSink batched_live(spec);
+  TeeSink batched({&batched_dirty, &batched_live});
+  FeedBatches(batches, &batched);
+
+  DirtyTracker looped_dirty;
+  LiveNvmSink looped_live(spec);
+  TeeSink looped({&looped_dirty, &looped_live});
+  FeedRecordByRecord(batches, &looped);
+
+  EXPECT_EQ(batched_dirty.dirty_words(), looped_dirty.dirty_words());
+  EXPECT_EQ(batched_dirty.SortedCells(), looped_dirty.SortedCells());
+  ExpectReportsIdentical(batched_live.Report(), looped_live.Report());
+  EXPECT_EQ(batched_live.device().cell_wear(),
+            looped_live.device().cell_wear());
 }
 
 TEST(WriteSink, AccountantResetRenewsTheLiveDevice) {
