@@ -8,16 +8,12 @@
 // under every wear-leveling policy.
 //
 // Default mode drives each algorithm once through a TeeSink feeding three
-// live devices (one per policy) plus a bounded WriteLog, and prints a
-// log+replay cross-check row — identical to the live "direct" row, which
-// is the pipeline's core invariant.
+// live devices, one per wear-leveling policy.
 //
-// Live mode (`bench_nvm_wear --live [items]`, default 10^8) is the scale
-// the log-based path cannot reach: the stream is generated lazily, every
-// write lands on the device as it happens (O(device) memory, zero drops),
-// while a 2^22-capacity WriteLog teed into the same pass drops >95% of
-// its records — the wear its replay reports is a severe underestimate.
-// The peak-RSS column shows the live path's footprint stays flat.
+// Live mode (`bench_nvm_wear --live [items]`, default 10^8) prices a
+// long stream: the stream is generated lazily and every write lands on
+// the device as it happens, so wear is exact in O(device) memory. The
+// peak-RSS column shows the footprint stays flat at any stream length.
 //
 // Checkpoint mode (`bench_nvm_wear --checkpoint [items] [every] [cache]`,
 // defaults 410000 and 20000) prices durability: each sketch runs once with
@@ -58,7 +54,6 @@
 #include "nvm/live_sink.h"
 #include "nvm/nvm_adapter.h"
 #include "nvm/nvm_device.h"
-#include "nvm/wear_leveling.h"
 #include "recover/checkpoint_policy.h"
 #include "recover/recovery.h"
 #include "shard/sharded_engine.h"
@@ -85,44 +80,29 @@ NvmSpec SpecFor(NvmSpec::Leveling leveling) {
   return spec;
 }
 
-// Offline cross-check: replay a captured log through a device/policy pair
-// minted from `spec` — must match the corresponding live row bit for bit.
-NvmReplayReport ReplayWith(const NvmSpec& spec, const WriteLog& log,
-                           const StateAccountant& accountant) {
-  NvmDevice device(spec.config);
-  auto policy = spec.MakePolicy();
-  return ReplayOnNvm(log, accountant, policy.get(), &device);
-}
-
 void PrintRow(const char* name, const char* policy,
               const NvmReplayReport& report) {
   std::printf("%-22s %-12s %12" PRIu64 " %12" PRIu64 " %10" PRIu64
-              " %12.1f %14.3e %9" PRIu64 "\n",
+              " %12.1f %14.3e\n",
               name, policy, report.writes_replayed, report.reads_replayed,
               report.max_cell_wear, report.wear_imbalance,
-              report.projected_stream_replays_to_failure,
-              report.dropped_writes);
+              report.projected_stream_replays_to_failure);
 }
 
-// One pass, four sinks: three live devices (one per policy) and a log for
-// the replay cross-check. Exercises TeeSink exactly as deployments would.
+// One pass, three live devices (one per policy). Exercises TeeSink
+// exactly as deployments would.
 template <typename Alg>
 void RunDefaultCase(const char* name, Alg& alg, const Stream& stream) {
   LiveNvmSink direct(SpecFor(NvmSpec::Leveling::kDirect));
   LiveNvmSink rotate(SpecFor(NvmSpec::Leveling::kRotating));
   LiveNvmSink hashed(SpecFor(NvmSpec::Leveling::kHashed));
-  WriteLog log(1ULL << 24);
-  TeeSink tee({&direct, &rotate, &hashed, &log});
+  TeeSink tee({&direct, &rotate, &hashed});
   alg.mutable_accountant()->set_write_sink(&tee);
   alg.Drain(VectorSource(stream));
 
   PrintRow(name, "direct", direct.Report());
   PrintRow(name, "rotate", rotate.Report());
   PrintRow(name, "hashed", hashed.Report());
-
-  PrintRow(name, "log+replay",
-           ReplayWith(SpecFor(NvmSpec::Leveling::kDirect), log,
-                      alg.accountant()));
 }
 
 int RunDefault() {
@@ -134,9 +114,9 @@ int RunDefault() {
   const uint64_t m = 200000;
   const Stream stream = ZipfStream(n, 1.3, m, /*seed=*/55);
 
-  std::printf("%-22s %-12s %12s %12s %10s %12s %14s %9s\n", "algorithm",
+  std::printf("%-22s %-12s %12s %12s %10s %12s %14s\n", "algorithm",
               "policy", "writes", "reads", "max_wear", "imbalance",
-              "replays_to_eol", "dropped");
+              "replays_to_eol");
 
   {
     CountMin alg(4, 2048, 2);
@@ -162,51 +142,39 @@ int RunDefault() {
   }
 
   std::printf("\nenergy model: writes cost 10x reads (PCM-like); lifetime = "
-              "endurance / max cell wear.\nthe log+replay rows equal the "
-              "live direct rows bit for bit — one costing core.\n");
+              "endurance / max cell wear.\n");
   return 0;
 }
 
-// Live mode: wear at a stream length the recorded log cannot hold.
+// Live mode: exact wear on a long, lazily generated stream.
 template <typename Alg>
 void RunLiveCase(const char* name, Alg& alg, uint64_t items,
                  uint64_t flows) {
   LiveNvmSink live(SpecFor(NvmSpec::Leveling::kDirect));
-  WriteLog log;  // default 2^22 capacity — the old offline path's budget
-  TeeSink tee({&live, &log});
-  alg.mutable_accountant()->set_write_sink(&tee);
+  alg.mutable_accountant()->set_write_sink(&live);
   alg.Drain(ZipfSource(flows, 1.2, items, /*seed=*/77));
 
   const NvmReplayReport exact = live.Report();
-  const NvmReplayReport truncated = ReplayWith(
-      SpecFor(NvmSpec::Leveling::kDirect), log, alg.accountant());
-
-  const double dropped_pct =
-      alg.accountant().word_writes() == 0
-          ? 0.0
-          : 100.0 * static_cast<double>(truncated.dropped_writes) /
-                static_cast<double>(alg.accountant().word_writes());
-  std::printf("%-20s %11" PRIu64 " %13" PRIu64 " %9" PRIu64 " %13" PRIu64
-              " %9.1f%% %13" PRIu64 " %12.1f\n",
+  std::printf("%-20s %11" PRIu64 " %13" PRIu64 " %9" PRIu64
+              " %14.3e %12.1f\n",
               name, items, exact.writes_replayed, exact.max_cell_wear,
-              truncated.max_cell_wear, dropped_pct, exact.dropped_writes,
+              exact.projected_stream_replays_to_failure,
               bench::PeakRssMiB());
 }
 
 int RunLive(uint64_t items) {
   bench::Banner(
       "E10 bench_nvm_wear --live",
-      "exact wear on streams past WriteLog capacity (live WriteSink)",
+      "exact wear on long streams (live WriteSink)",
       "the live device prices every write at 10^8 items in O(device) "
-      "memory; the 2^22-entry log drops >95% and under-reports max wear");
+      "memory");
 
   const uint64_t flows = 100000;
   std::printf("stream: %" PRIu64 " items over %" PRIu64
               " flows (Zipf 1.2), generated lazily\n\n",
               items, flows);
-  std::printf("%-20s %11s %13s %9s %13s %10s %13s %12s\n", "algorithm",
-              "items", "live_writes", "live_wear", "replay_wear",
-              "dropped", "live_dropped", "peak_rss_mib");
+  std::printf("%-20s %11s %13s %9s %14s %12s\n", "algorithm", "items",
+              "live_writes", "live_wear", "replays_to_eol", "peak_rss_mib");
 
   {
     CountMin alg(4, 2048, 2);
@@ -223,10 +191,8 @@ int RunLive(uint64_t items) {
     RunLiveCase("FullSampleAndHold", alg, items, flows);
   }
 
-  std::printf("\nreading: replay_wear < live_wear wherever dropped > 0 — "
-              "the offline path's numbers are underestimates at this "
-              "scale.\nlive_dropped is always 0: the live sink never "
-              "drops. peak RSS stays flat at any stream length.\n");
+  std::printf("\nreading: every write is priced as it happens, so the wear "
+              "is exact at any stream length;\npeak RSS stays flat.\n");
   return 0;
 }
 

@@ -24,11 +24,20 @@ if grep -rnE '(\.|->)Consume\(' bench examples; then
 fi
 
 # Write-accounting gate: benches and examples must route write pricing
-# through the WriteSink pipeline (`set_write_sink` with a WriteLog /
-# LiveNvmSink / TeeSink). `set_write_log` was the log-only seam; it no
+# through the WriteSink pipeline (`set_write_sink` with a LiveNvmSink /
+# DirtyTracker / TeeSink). `set_write_log` was the log-only seam; it no
 # longer exists and must not creep back as a bypass.
 if grep -rnE 'set_write_log\(' bench examples; then
   echo "check.sh: set_write_log() in bench/ or examples/ — attach sinks via set_write_sink() (WriteSink pipeline) instead" >&2
+  exit 1
+fi
+
+# One-pricing-path gate: wear is priced only as writes happen, by a
+# `LiveNvmSink` on the one `NvmCostPath`. The recorded `WriteLog` and its
+# `ReplayOnNvm` pricing were a second, bounded and lossy implementation
+# of the same costing; they must not come back.
+if grep -rnwE 'WriteLog|ReplayOnNvm' src bench examples; then
+  echo "check.sh: WriteLog/ReplayOnNvm in src/, bench/ or examples/ — price writes through a live sink (LiveNvmSink) instead" >&2
   exit 1
 fi
 

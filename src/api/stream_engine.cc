@@ -85,11 +85,10 @@ std::string RunReport::ToString() const {
       AppendFormat(
           &out,
           "  %-24s   nvm: writes=%-10llu max_wear=%-8llu "
-          "energy=%.3gnJ replays_to_eol=%.4g dropped=%llu\n",
+          "energy=%.3gnJ replays_to_eol=%.4g\n",
           "", static_cast<unsigned long long>(s.nvm.writes_replayed),
           static_cast<unsigned long long>(s.nvm.max_cell_wear),
-          s.nvm.energy_nj, s.nvm.projected_stream_replays_to_failure,
-          static_cast<unsigned long long>(s.nvm.dropped_writes));
+          s.nvm.energy_nj, s.nvm.projected_stream_replays_to_failure);
       if (s.nvm.cache_enabled) {
         const CacheStats& c = s.nvm.cache;
         AppendFormat(
@@ -112,7 +111,7 @@ std::string RunReport::ToString() const {
 std::string RunReport::CsvHeader() {
   return "label,sketch,updates,state_changes,word_writes,suppressed_writes,"
          "word_reads,peak_words,wall_seconds,nvm_writes,nvm_max_wear,"
-         "nvm_energy_nj,nvm_replays_to_eol,nvm_dropped,ckpt_full,ckpt_delta,"
+         "nvm_energy_nj,nvm_replays_to_eol,ckpt_full,ckpt_delta,"
          "ckpt_published,cache_hits,absorbed_writes,dirty_evictions,"
          "writebacks,cache_reuse_p50";
 }
@@ -139,7 +138,7 @@ std::string SketchReportCsvRow(const std::string& label,
   std::string line = CsvSanitize(label) + ',' + CsvSanitize(sketch);
   AppendFormat(&line,
                ",%llu,%llu,%llu,%llu,%llu,%llu,%.6f,%llu,%llu,%.6g,"
-               "%.6g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
+               "%.6g,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu",
                static_cast<unsigned long long>(row.updates),
                static_cast<unsigned long long>(row.state_changes),
                static_cast<unsigned long long>(row.word_writes),
@@ -154,8 +153,6 @@ std::string SketchReportCsvRow(const std::string& label,
                row.has_nvm ? row.nvm.energy_nj : 0.0,
                row.has_nvm ? row.nvm.projected_stream_replays_to_failure
                            : 0.0,
-               static_cast<unsigned long long>(
-                   row.has_nvm ? row.nvm.dropped_writes : 0),
                static_cast<unsigned long long>(row.full_checkpoints),
                static_cast<unsigned long long>(row.delta_checkpoints),
                static_cast<unsigned long long>(row.snapshots_published),

@@ -71,9 +71,8 @@ struct RunReport {
   /// \brief Column header shared by all report CSV emitters:
   /// `label,sketch,updates,state_changes,word_writes,suppressed_writes,
   /// word_reads,peak_words,wall_seconds,nvm_writes,nvm_max_wear,
-  /// nvm_energy_nj,nvm_replays_to_eol,nvm_dropped,ckpt_full,ckpt_delta,
-  /// ckpt_published,cache_hits,absorbed_writes,dirty_evictions,writebacks,
-  /// cache_reuse_p50`
+  /// nvm_energy_nj,nvm_replays_to_eol,ckpt_full,ckpt_delta,ckpt_published,
+  /// cache_hits,absorbed_writes,dirty_evictions,writebacks,cache_reuse_p50`
   /// (the nvm columns are 0 for rows without an attached device; the ckpt
   /// columns are 0 outside `[checkpoint]` rows; the cache columns are 0
   /// without a DRAM cache tier on the device, and `nvm_writes` counts
@@ -152,11 +151,11 @@ class StreamEngine {
 
   /// \brief Attaches a live NVM pipeline to `name`'s accountant: every
   /// state write is priced on a fresh simulated device *as it happens*
-  /// (O(device) memory — exact wear at any stream length, where a bounded
-  /// `WriteLog` would truncate). The engine owns the sink; subsequent
-  /// `RunReport` rows for this sketch carry the device's cumulative
-  /// wear/energy/lifetime. Replaces any sink previously attached to the
-  /// sketch's accountant. Fails on unknown names and invalid specs.
+  /// (O(device) memory — exact wear at any stream length). The engine
+  /// owns the sink; subsequent `RunReport` rows for this sketch carry the
+  /// device's cumulative wear/energy/lifetime. Replaces any sink
+  /// previously attached to the sketch's accountant. Fails on unknown
+  /// names and invalid specs.
   /// A spec with `cache.sets > 0` puts a DRAM write-back cache tier in
   /// front of the device: the run report then also carries cache
   /// hit/absorption/write-back counters, and the engine's end-of-run

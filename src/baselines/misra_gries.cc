@@ -16,34 +16,7 @@ MisraGries::MisraGries(size_t k) : k_(k == 0 ? 1 : k) {
   }
 }
 
-void MisraGries::Update(Item item) {
-  accountant_.BeginUpdate();
-  auto it = counts_.find(item);
-  accountant_.RecordRead();
-  if (it != counts_.end()) {
-    ++it->second.count;
-    accountant_.RecordWrite(CountCell(it->second.slot));
-    return;
-  }
-  if (counts_.size() < k_) {
-    const uint32_t slot = free_slots_.back();
-    free_slots_.pop_back();
-    counts_.emplace(item, Entry{1, slot});
-    accountant_.RecordWrite(KeyCell(slot), 2);
-    return;
-  }
-  // Decrement phase: every tracked count drops by one; zeros are evicted
-  // (the zeroed count word is the tombstone) and their slots recycled.
-  for (auto iter = counts_.begin(); iter != counts_.end();) {
-    accountant_.RecordWrite(CountCell(iter->second.slot));
-    if (--iter->second.count == 0) {
-      free_slots_.push_back(iter->second.slot);
-      iter = counts_.erase(iter);
-    } else {
-      ++iter;
-    }
-  }
-}
+void MisraGries::Update(Item item) { UpdateBatch(&item, 1); }
 
 void MisraGries::UpdateBatch(const Item* items, size_t n) {
   // Chunked so sink replay latency stays bounded on huge engine batches.

@@ -28,12 +28,13 @@ class MisraGries : public MergeableSketch,
   /// \brief Creates a summary with capacity `k >= 1` counters.
   explicit MisraGries(size_t k);
 
+  /// \brief A one-item `UpdateBatch`: the batch loop is the only update
+  /// body.
   void Update(Item item) override;
 
-  /// \brief Batch kernel: the same map transitions as the scalar loop,
-  /// with per-update accounting mirrored into a `BatchUpdateScratch` and
-  /// flushed once per chunk (`StateAccountant::ApplyBatch`) — bitwise
-  /// identical estimates, totals and sink traffic.
+  /// \brief The update body: one map transition per item, with the
+  /// per-update accounting mirrored into a `BatchUpdateScratch` and
+  /// flushed once per chunk (`StateAccountant::ApplyBatch`).
   void UpdateBatch(const Item* items, size_t n) override;
 
   /// \brief The classic mergeable-summaries combine [ACHPWY12]: counts of

@@ -16,34 +16,7 @@ void SpaceSaving::RemoveFromBucket(uint64_t count, Item item) {
   if (node->second.empty()) count_buckets_.erase(node);
 }
 
-void SpaceSaving::Update(Item item) {
-  accountant_.BeginUpdate();
-  accountant_.RecordRead();
-  auto it = counts_.find(item);
-  if (it != counts_.end()) {
-    RemoveFromBucket(it->second.count, item);
-    ++it->second.count;
-    count_buckets_[it->second.count].insert(item);
-    accountant_.RecordWrite(cells_base_ + 1);
-    return;
-  }
-  if (counts_.size() < k_) {
-    counts_.emplace(item, Entry{1, 0});
-    count_buckets_[1].insert(item);
-    accountant_.RecordWrite(cells_base_, 3);
-    return;
-  }
-  // Replace a minimum-count entry: the new item inherits min+1 with error
-  // bound min.
-  auto min_node = count_buckets_.begin();
-  const uint64_t min = min_node->first;
-  const Item victim = *min_node->second.begin();
-  RemoveFromBucket(min, victim);
-  counts_.erase(victim);
-  counts_.emplace(item, Entry{min + 1, min});
-  count_buckets_[min + 1].insert(item);
-  accountant_.RecordWrite(cells_base_, 3);
-}
+void SpaceSaving::Update(Item item) { UpdateBatch(&item, 1); }
 
 void SpaceSaving::UpdateBatch(const Item* items, size_t n) {
   // Chunked so sink replay latency stays bounded on huge engine batches.

@@ -27,12 +27,13 @@ class SpaceSaving : public MergeableSketch, public CandidateEnumerable {
   /// \brief Creates a summary with capacity `k >= 1` counters.
   explicit SpaceSaving(size_t k);
 
+  /// \brief A one-item `UpdateBatch`: the batch loop is the only update
+  /// body.
   void Update(Item item) override;
 
-  /// \brief Batch kernel: the same summary transitions as the scalar
-  /// loop, with accounting mirrored into a `BatchUpdateScratch` and
-  /// flushed once per chunk — bitwise identical estimates, totals and
-  /// sink traffic.
+  /// \brief The update body: one summary transition per item, with the
+  /// accounting mirrored into a `BatchUpdateScratch` and flushed once per
+  /// chunk (`StateAccountant::ApplyBatch`).
   void UpdateBatch(const Item* items, size_t n) override;
 
   /// \brief Standard practical SpaceSaving combine: counts and error

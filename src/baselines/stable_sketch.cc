@@ -107,70 +107,6 @@ void StableSketch::Update(Item item) {
   }
 }
 
-void StableSketch::UpdateBatch(const Item* items, size_t n) {
-  if (mode_ != CounterMode::kExact || !manage_epochs_) {
-    // Morris counters flip RNG coins sequentially per update (and their
-    // Add, not the memoised entry math, dominates), and caller-managed
-    // epochs mean the caller drives BeginUpdate around each item — both
-    // are scalar-path contracts.
-    for (size_t i = 0; i < n; ++i) Update(items[i]);
-    return;
-  }
-  constexpr size_t kChunk = 256;
-  double* rows = exact_rows_->BatchData();
-  const uint64_t base = exact_rows_->base_cell();
-  const bool collect = accountant_->needs_cell_addresses();
-  for (size_t off = 0; off < n; off += kChunk) {
-    const size_t c = std::min(kChunk, n - off);
-    const size_t m = rows_ * c;
-    batch_keys_.resize(m);
-    batch_raw_.resize(m);
-    batch_theta_.resize(m);
-    batch_entries_.resize(m);
-    for (size_t r = 0; r < rows_; ++r) {
-      uint64_t* keys = batch_keys_.data() + r * c;
-      for (size_t i = 0; i < c; ++i) {
-        keys[i] = Mix64(items[off + i] * 0x100000001b3ULL + r + 1);
-      }
-    }
-    // Same uniform derivation (and clamps) as Entry(), batched: theta from
-    // the key, r from the xored key, then the CMS transform per element.
-    theta_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
-    for (size_t j = 0; j < m; ++j) {
-      double u_theta = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
-      if (u_theta <= 0.0) u_theta = 0x1.0p-53;
-      if (u_theta >= 1.0) u_theta = 1.0 - 0x1.0p-53;
-      batch_theta_[j] = (u_theta - 0.5) * M_PI;
-      batch_keys_[j] ^= 0xabcdef12345678ULL;
-    }
-    r_hash_.HashBatch(batch_keys_.data(), m, batch_raw_.data());
-    for (size_t j = 0; j < m; ++j) {
-      double u_r = static_cast<double>(batch_raw_[j] >> 11) * 0x1.0p-53;
-      if (u_r <= 0.0) u_r = 0x1.0p-53;
-      batch_entries_[j] = PStableFromUniform(p_, batch_theta_[j], u_r);
-    }
-    batch_scratch_.Begin(collect);
-    for (size_t i = 0; i < c; ++i) {
-      batch_scratch_.BeginItem();
-      for (size_t r = 0; r < rows_; ++r) {
-        const double e = batch_entries_[r * c + i];
-        const double next = rows[r] + e;
-        // Adding a tiny entry to a large accumulator can round back to
-        // the same double — a suppressed write, exactly as the tracked
-        // scalar Set() prices it.
-        if (next != rows[r]) {
-          rows[r] = next;
-          batch_scratch_.Write(base + r);
-        } else {
-          batch_scratch_.SuppressedWrite();
-        }
-      }
-      batch_scratch_.Read(rows_);
-    }
-    accountant_->ApplyBatch(batch_scratch_);
-  }
-}
-
 Status StableSketch::MergeFrom(const Sketch& other) {
   Status status;
   const auto* src = MergeSourceAs<StableSketch>(this, other, &status);

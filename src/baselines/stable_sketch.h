@@ -40,12 +40,13 @@ namespace fewstate {
 /// Cost: deriving an entry takes two tabulation hashes and a p-stable
 /// transform (a `pow`, `sin`, `cos` and `log`), about as much as the
 /// Morris `Add` it feeds. Since an entry is a pure function of
-/// (seed, row, item), the scalar `Update` keeps a direct-mapped memo of
-/// recent items' whole entry vectors: at most `kEntryMemoBytes`, allocated
-/// on the first `Update`, and untracked scratch like the batch buffers —
-/// restores and merges neither copy nor read it. Skewed streams revisit
-/// their heavy items, so most updates skip the math entirely; a hit
-/// returns exactly the doubles `Entry` would compute.
+/// (seed, row, item), `Update` keeps a direct-mapped memo of recent items'
+/// whole entry vectors: at most `kEntryMemoBytes`, allocated on the first
+/// `Update`, and untracked scratch — restores and merges neither copy nor
+/// read it. Skewed streams revisit their heavy items, so most updates skip
+/// the math entirely; a hit returns exactly the doubles `Entry` would
+/// compute. Batches take the default per-item loop over `Update`, so both
+/// counter modes share the one memoised update body.
 class StableSketch : public MergeableSketch, public RestorableSketch {
  public:
   enum class CounterMode { kExact, kMorris };
@@ -62,16 +63,6 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
                bool manage_epochs = true);
 
   void Update(Item item) override;
-
-  /// \brief Batch kernel for `kExact` self-managed-epoch sketches: derives
-  /// the whole chunk's p-stable entries with batched tabulation hashing
-  /// (no memo), then accumulates rows in arrival order with accounting
-  /// reconciled once per chunk — bitwise identical to the scalar loop.
-  /// Falls back to the scalar, memoised path in `kMorris` mode, where the
-  /// per-row Morris `Add` is the dominant cost and consumes the RNG
-  /// sequentially per update, and under caller-managed epochs (the caller
-  /// drives `BeginUpdate`, a scalar-path contract).
-  void UpdateBatch(const Item* items, size_t n) override;
 
   /// \brief Folds an identically-configured replica (same p, rows, seed,
   /// mode, Morris growth) into this sketch. In `kExact` mode the row
@@ -173,12 +164,6 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   // kMorris state: positive/negative monotone parts per row.
   std::vector<MorrisCounter> pos_counters_;
   std::vector<MorrisCounter> neg_counters_;
-  // Reused batch-kernel scratch (bounded by the internal chunk size).
-  BatchUpdateScratch batch_scratch_;
-  std::vector<uint64_t> batch_keys_;
-  std::vector<uint64_t> batch_raw_;
-  std::vector<double> batch_theta_;
-  std::vector<double> batch_entries_;
   // Entry memo (untracked scratch, empty until the first Update): slot s
   // holds item memo_keys_[s]'s entries at memo_entries_[s * rows_] while
   // memo_valid_[s] is set.

@@ -54,14 +54,10 @@ struct NvmSpec {
 /// write through a wear-leveling policy onto a simulated `NvmDevice` *as
 /// it happens*.
 ///
-/// Where a `WriteLog` records O(stream) trace entries (and silently caps
-/// them), a live sink holds only the device — O(device) memory — so wear,
-/// energy and lifetime are exact on unbounded streams. It drives the same
-/// `NvmCostPath` costing core as offline replay, so on a stream that fits
-/// a log's capacity `Report()` is bitwise-identical to
-/// `ReplayOnNvm(log, ...)` with the same spec (provided the sink was
-/// attached for the algorithm's whole lifetime, as replay charges the
-/// accountant's total read count).
+/// The sink holds only the device — O(device) memory, never a trace — so
+/// wear, energy and lifetime are exact on unbounded streams. All pricing
+/// runs through one `NvmCostPath`: `OnWrite` is its per-record `Write`,
+/// and `OnWrites` its batch mapping, which must match that loop bitwise.
 class LiveNvmSink : public WriteSink {
  public:
   /// \brief Builds a fresh device + policy from `spec`. The spec must
@@ -92,15 +88,12 @@ class LiveNvmSink : public WriteSink {
   void Flush() override { path_.Flush(); }
 
   /// \brief Renews the attachment: a fresh device, policy and cache tier,
-  /// as if just constructed (mirrors `WriteLog::Clear` on accountant
-  /// reset).
+  /// as if just constructed (forwarded from an accountant reset).
   void Reset() override;
 
-  /// \brief Costing outcome so far — same shape and, on bounded streams,
-  /// same bits as offline replay. `dropped_writes` is always 0: the live
-  /// path never drops. Flushes the cache tier first, so a mid-run report
-  /// on a cached path reflects flushed state (pending write-backs are
-  /// priced, never silently excluded).
+  /// \brief Costing outcome so far. Flushes the cache tier first, so a
+  /// mid-run report on a cached path reflects flushed state (pending
+  /// write-backs are priced, never silently excluded).
   NvmReplayReport Report() {
     path_.Flush();
     return path_.Report();

@@ -4,11 +4,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <memory>
 
 namespace fewstate {
 
-NvmReplayReport NvmCostPath::Report(uint64_t dropped_writes) const {
+NvmReplayReport NvmCostPath::Report() const {
   if (!flushed()) {
     // Wear, imbalance and projected lifetime would silently exclude the
     // pending write-backs — an unflushed cached report is a wrong answer,
@@ -28,7 +27,6 @@ NvmReplayReport NvmCostPath::Report(uint64_t dropped_writes) const {
   report.wear_imbalance = device_->wear_imbalance();
   report.energy_nj = device_->energy_nj();
   report.latency_ns = device_->latency_ns();
-  report.dropped_writes = dropped_writes;
   if (cache_ != nullptr) {
     report.cache_enabled = true;
     report.cache = cache_->stats();
@@ -44,29 +42,6 @@ NvmReplayReport NvmCostPath::Report(uint64_t dropped_writes) const {
   return report;
 }
 
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device) {
-  return ReplayOnNvm(log, accountant, policy, device, CacheSpec{});
-}
-
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device,
-                            const CacheSpec& cache_spec) {
-  std::unique_ptr<CacheTier> cache;
-  if (cache_spec.enabled()) cache = std::make_unique<CacheTier>(cache_spec);
-  NvmCostPath path(policy, device, cache.get());
-  for (const WriteRecord& record : log.records()) {
-    path.Write(record.cell);
-  }
-  // Reads are aggregate (the accountant does not log addresses); they cost
-  // energy/latency but never wear cells.
-  path.BulkReads(accountant.word_reads());
-  path.Flush();
-  return path.Report(log.dropped());
-}
-
 NvmReplayReport AggregateNvmReports(
     const std::vector<NvmReplayReport>& parts) {
   NvmReplayReport out;
@@ -78,7 +53,6 @@ NvmReplayReport AggregateNvmReports(
     out.reads_replayed += part.reads_replayed;
     out.energy_nj += part.energy_nj;
     out.latency_ns += part.latency_ns;
-    out.dropped_writes += part.dropped_writes;
     out.max_cell_wear = std::max(out.max_cell_wear, part.max_cell_wear);
     out.wear_imbalance = std::max(out.wear_imbalance, part.wear_imbalance);
     out.projected_stream_replays_to_failure =

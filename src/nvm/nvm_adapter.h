@@ -8,15 +8,13 @@
 #include "nvm/cache_tier.h"
 #include "nvm/nvm_device.h"
 #include "nvm/wear_leveling.h"
-#include "state/state_accountant.h"
-#include "state/write_log.h"
+#include "state/write_sink.h"
 
 namespace fewstate {
 
-/// \brief Outcome of pricing an algorithm's memory behaviour on NVM —
-/// produced identically by offline replay (`ReplayOnNvm`) and by the live
-/// streaming path (`LiveNvmSink::Report`); on streams within log capacity
-/// the two are bitwise-identical.
+/// \brief Outcome of pricing an algorithm's memory behaviour on NVM, as
+/// `LiveNvmSink::Report` (one device) or `AggregateNvmReports` (several)
+/// returns it.
 ///
 /// With a cache tier attached, `writes_replayed` counts writes that
 /// *reached the device* (dirty-eviction and flush write-backs); the
@@ -31,11 +29,6 @@ struct NvmReplayReport {
   /// Projected number of times the whole stream could be re-run before the
   /// first cell wears out (infinite if no writes landed anywhere).
   double projected_stream_replays_to_failure = 0.0;
-  /// Writes the costing never saw: records a bounded `WriteLog` dropped
-  /// past capacity. Nonzero means every wear figure above is an
-  /// *underestimate* — switch to the live path (`LiveNvmSink`), which
-  /// never drops. Always 0 for live-path reports.
-  uint64_t dropped_writes = 0;
 
   /// True iff a DRAM cache tier sat in front of the device; `cache` is
   /// all-zero otherwise.
@@ -44,10 +37,6 @@ struct NvmReplayReport {
   /// write-backs, reuse-distance histogram). Valid only after flush:
   /// `Report()` asserts the tier holds no pending dirty words.
   CacheStats cache;
-
-  /// \brief True iff the costing under-reports because trace records were
-  /// dropped.
-  bool truncated() const { return dropped_writes > 0; }
 };
 
 /// \brief The shared costing core: one write/read path from logical state
@@ -56,9 +45,8 @@ struct NvmReplayReport {
 /// motivating quantities (energy, latency, device lifetime under
 /// asymmetric read/write costs).
 ///
-/// Both pricing modes drive this same path, so they cannot diverge:
-/// `ReplayOnNvm` feeds it a recorded `WriteLog` after the fact;
-/// `LiveNvmSink` feeds it each write as the algorithm performs it.
+/// `LiveNvmSink` feeds it each write as the algorithm performs it; `Write`
+/// is the per-record reference that `WriteBatch` must match bit for bit.
 /// Policy, device and (optional) cache tier are borrowed and must outlive
 /// the path. With a cache, writes land in the tier and only dirty
 /// evictions / `Flush()` write-backs reach the policy+device; wear
@@ -126,13 +114,12 @@ class NvmCostPath {
   /// true uncached; cached: no pending dirty words).
   bool flushed() const { return cache_ == nullptr || cache_->flushed(); }
 
-  /// \brief Costing outcome so far. `dropped_writes` flags trace
-  /// truncation for the replay path (the live path passes 0). On a cached
-  /// path the tier must be flushed — wear, lifetime and imbalance would
+  /// \brief Costing outcome so far. On a cached path the tier must be
+  /// flushed — wear, lifetime and imbalance would
   /// otherwise silently exclude pending write-backs — so an unflushed
   /// `Report()` aborts (see `LiveNvmSink::Report` for the auto-flushing
   /// wrapper).
-  NvmReplayReport Report(uint64_t dropped_writes = 0) const;
+  NvmReplayReport Report() const;
 
  private:
   WearLevelingPolicy* policy_;
@@ -142,27 +129,9 @@ class NvmCostPath {
   uint64_t reads_ = 0;
 };
 
-/// \brief Offline pricing: replays a recorded `WriteLog` (plus aggregate
-/// read counts from the accountant) through a wear-leveling policy onto a
-/// simulated device. If the log dropped records past capacity, the report
-/// surfaces the shortfall in `dropped_writes` — the wear figures are then
-/// underestimates and the live path should be used instead.
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device);
-
-/// \brief Cached offline pricing: as above, but replays through a DRAM
-/// cache tier built from `cache_spec` (flushed before reporting). A
-/// disabled spec (`sets == 0`) is bitwise-identical to the uncached
-/// overload.
-NvmReplayReport ReplayOnNvm(const WriteLog& log,
-                            const StateAccountant& accountant,
-                            WearLevelingPolicy* policy, NvmDevice* device,
-                            const CacheSpec& cache_spec);
-
 /// \brief Folds per-device reports into one deployment-level view (e.g.
 /// one device per shard replica, plus checkpoint devices): traffic,
-/// energy, latency and drops add up; `max_cell_wear` and `wear_imbalance`
+/// energy and latency add up; `max_cell_wear` and `wear_imbalance`
 /// take the worst device; lifetime takes the first device to fail.
 /// Cache-tier counters and reuse-distance buckets sum element-wise
 /// (`cache_enabled` if any part had a cache).

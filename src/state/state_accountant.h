@@ -214,9 +214,9 @@ class StateAccountant {
   bool needs_cell_addresses() const { return sink_ != nullptr; }
 
   /// \brief Attaches (or detaches, with nullptr) a write sink: every
-  /// subsequent state-write event streams through it — a recording
-  /// `WriteLog`, a `LiveNvmSink` pricing wear on a simulated device as it
-  /// happens, or a `TeeSink` composing several.
+  /// subsequent state-write event streams through it — a `LiveNvmSink`
+  /// pricing wear on a simulated device as it happens, a `DirtyTracker`,
+  /// or a `TeeSink` composing several.
   void set_write_sink(WriteSink* sink) { sink_ = sink; }
 
   /// \brief The attached sink, or nullptr.
@@ -246,8 +246,8 @@ class StateAccountant {
   /// \brief High-water mark of allocated state, in words.
   uint64_t peak_allocated_words() const { return peak_allocated_words_; }
 
-  /// \brief Resets all counters (the attached sink is reset too, so a log
-  /// clears and a live device is renewed in step with the accountant).
+  /// \brief Resets all counters (the attached sink is reset too, so a live
+  /// device is renewed in step with the accountant).
   void Reset() {
     epoch_ = 0;
     dirty_ = false;

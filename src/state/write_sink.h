@@ -25,8 +25,8 @@ struct CellWrite {
 /// to the accountant *sees* them, one event per word written, in program
 /// order, as they happen. That inversion is what lets wear be priced on
 /// unbounded streams: a sink with O(device) state (`LiveNvmSink` in
-/// `src/nvm/live_sink.h`) replaces an O(stream) recorded trace
-/// (`WriteLog`, itself just one sink implementation now).
+/// `src/nvm/live_sink.h`) prices each write as it lands, so no O(stream)
+/// trace is ever recorded.
 ///
 /// Contract:
 ///  * `OnWrite(epoch, cell)` fires once per word whose value actually
@@ -73,12 +73,12 @@ class WriteSink {
   /// \brief End-of-run barrier for buffering sinks.
   virtual void Flush() {}
 
-  /// \brief Discards sink state (a log clears, a live device is renewed).
+  /// \brief Discards sink state (e.g. a live device is renewed).
   virtual void Reset() {}
 };
 
 /// \brief Fans every event out to several borrowed sinks, in order — e.g.
-/// a bounded `WriteLog` for trace capture *and* a `LiveNvmSink` for exact
+/// a `DirtyTracker` for delta checkpoints *and* a `LiveNvmSink` for exact
 /// wear, in one pass. Sinks must outlive the tee.
 class TeeSink : public WriteSink {
  public:

@@ -7,7 +7,10 @@
 // in the same order. Every sketch overriding `UpdateBatch` is checked
 // here, across batch sizes {1, 7, 4096}, with and without an attached
 // sink chain, and through the sharded engine with a checkpoint trigger
-// landing mid-batch.
+// landing mid-batch. Only CountMin and CountSketch keep an independent
+// scalar `Update` as the reference; MisraGries' and SpaceSaving's
+// `Update` is a one-item batch, so for them the sweep pins chunking and
+// batch-size independence, and StableSketch batches through its `Update`.
 
 #include <algorithm>
 #include <cstdint>
@@ -45,9 +48,9 @@ struct Maker {
 
 // Every sketch with a real `UpdateBatch` kernel, in the configurations
 // the kernels specialize on — CountMin both plain (closed-form
-// accounting + row-major sweep) and conservative (per-item min path),
-// and StableSketch both exact (batched hashing) and Morris (documented
-// scalar fallback: its RNG draws are sequential per update).
+// accounting + row-major sweep) and conservative (per-item min path) —
+// plus StableSketch in both counter modes, which batches through the
+// default per-item loop over its memoised `Update`.
 std::vector<Maker> BatchSketches() {
   return {
       {"misra_gries", [] { return std::make_unique<MisraGries>(64); }},
@@ -228,15 +231,16 @@ TEST(BatchUpdateTest, SinkReplayMatchesScalar) {
   }
 }
 
-// `T` with its batch kernel replaced by the per-item reference loop — the
-// scalar side of an engine-level comparison. Still a `T` to `dynamic_cast`,
-// so merges and delta checkpoints treat it exactly like the original.
+// `T` fed one item per `T::UpdateBatch` call — the scalar side of an
+// engine-level comparison. (Calling `Update` here would recurse where `T`
+// defines `Update` as a one-item batch.) Still a `T` to `dynamic_cast`, so
+// merges and delta checkpoints treat it exactly like the original.
 template <typename T>
 class ScalarOnly : public T {
  public:
   using T::T;
   void UpdateBatch(const Item* items, size_t n) override {
-    for (size_t i = 0; i < n; ++i) this->Update(items[i]);
+    for (size_t i = 0; i < n; ++i) T::UpdateBatch(items + i, 1);
   }
 };
 
@@ -299,21 +303,32 @@ TEST(BatchUpdateTest, CheckpointStraddlingBatchMatchesScalar) {
   }
 }
 
-// The scalar StableSketch path memoises each item's entry vector in a
-// direct-mapped table; the batch kernel derives every entry afresh. Rows
-// must agree bit for bit, so a memo hit is exactly the computed entry.
-void ExpectStableRowsBitwiseEqual(const StableSketch& scalar,
-                                  const StableSketch& batched,
-                                  const std::string& context) {
-  ASSERT_EQ(scalar.rows(), batched.rows()) << context;
-  for (size_t r = 0; r < scalar.rows(); ++r) {
-    const double s = scalar.RowValue(r);
-    const double b = batched.RowValue(r);
-    uint64_t s_bits;
-    uint64_t b_bits;
-    std::memcpy(&s_bits, &s, sizeof(s));
-    std::memcpy(&b_bits, &b, sizeof(b));
-    ASSERT_EQ(s_bits, b_bits) << context << " row=" << r;
+// StableSketch memoises each item's entry vector in a direct-mapped table
+// sized by its row count. An entry depends only on (seed, row, item), so a
+// memoised sketch's rows must agree bit for bit with the same rows of a
+// sketch too wide for any memo, fed the same stream.
+void ExpectRowsMatchUnmemoisedSketch(const Stream& stream, size_t rows,
+                                     uint64_t seed) {
+  constexpr size_t kWideRows = 600;
+  ASSERT_EQ(StableSketch::EntryMemoSlots(kWideRows), 0u);
+  ASSERT_GT(StableSketch::EntryMemoSlots(rows), 0u);
+  StableSketch wide(0.5, kWideRows, seed, StableSketch::CounterMode::kExact);
+  FeedScalar(wide, stream);
+  for (const size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
+    const std::string context = "batch=" + std::to_string(batch);
+    StableSketch memoised(0.5, rows, seed, StableSketch::CounterMode::kExact);
+    FeedBatched(memoised, stream, batch);
+    EXPECT_EQ(memoised.accountant().updates(), wide.accountant().updates())
+        << context;
+    for (size_t r = 0; r < rows; ++r) {
+      const double m = memoised.RowValue(r);
+      const double w = wide.RowValue(r);
+      uint64_t m_bits;
+      uint64_t w_bits;
+      std::memcpy(&m_bits, &m, sizeof(m));
+      std::memcpy(&w_bits, &w, sizeof(w));
+      ASSERT_EQ(m_bits, w_bits) << context << " row=" << r;
+    }
   }
 }
 
@@ -347,7 +362,7 @@ Stream MemoCollisionStream(size_t slots) {
   return stream;
 }
 
-TEST(BatchUpdateTest, MemoisedStableEntriesMatchBatchKernelUnderCollisions) {
+TEST(BatchUpdateTest, MemoisedStableRowsMatchUnmemoisedSketchUnderCollisions) {
   constexpr size_t kRows = 32;
   const size_t slots = StableSketch::EntryMemoSlots(kRows);
   ASSERT_EQ(slots, 128u);
@@ -358,32 +373,15 @@ TEST(BatchUpdateTest, MemoisedStableEntriesMatchBatchKernelUnderCollisions) {
               StableSketch::EntryMemoSlot(stream[i - 1], slots))
         << "at " << i;
   }
-  StableSketch scalar(0.5, kRows, 11, StableSketch::CounterMode::kExact);
-  FeedScalar(scalar, stream);
-  for (const size_t batch : {size_t{1}, size_t{7}, size_t{4096}}) {
-    const std::string context = "batch=" + std::to_string(batch);
-    StableSketch batched(0.5, kRows, 11, StableSketch::CounterMode::kExact);
-    FeedBatched(batched, stream, batch);
-    ExpectAccountantsEqual(scalar.accountant(), batched.accountant(),
-                           context);
-    ExpectStableRowsBitwiseEqual(scalar, batched, context);
-  }
+  ExpectRowsMatchUnmemoisedSketch(stream, kRows, 11);
 }
 
-TEST(BatchUpdateTest, UnmemoisedWideStableSketchMatchesBatchKernel) {
-  // Too many rows for 16 memo slots in the budget: no memo at all.
-  constexpr size_t kRows = 600;
-  ASSERT_EQ(StableSketch::EntryMemoSlots(kRows), 0u);
+TEST(BatchUpdateTest, MemoisedStableRowsMatchUnmemoisedSketchOnZipf) {
   Stream stream = ZipfStream(300, 1.2, 1500, /*seed=*/77);
   stream.push_back(0);
   stream.push_back(UINT64_MAX);
   stream.push_back(UINT64_MAX);
-  StableSketch scalar(0.5, kRows, 13, StableSketch::CounterMode::kExact);
-  FeedScalar(scalar, stream);
-  StableSketch batched(0.5, kRows, 13, StableSketch::CounterMode::kExact);
-  FeedBatched(batched, stream, 256);
-  ExpectAccountantsEqual(scalar.accountant(), batched.accountant(), "wide");
-  ExpectStableRowsBitwiseEqual(scalar, batched, "wide");
+  ExpectRowsMatchUnmemoisedSketch(stream, 32, 13);
 }
 
 }  // namespace

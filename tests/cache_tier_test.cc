@@ -9,8 +9,8 @@
 // written-back words; the differential runs on >= 10^5-write seeded
 // random traces, and on the real write traces of every batch-capable
 // sketch. Alongside: hand-built traces pinning eviction/LRU order, the
-// flush-conservation invariant, and `CacheSpec{0}` == uncached bitwise
-// (report-for-report, including live-vs-replay identity).
+// flush-conservation invariant, `CacheSpec{0}` == uncached bitwise
+// (report for report), and live pricing == pricing the recorded trace.
 
 #include <algorithm>
 #include <cstdint>
@@ -34,7 +34,7 @@
 #include "nvm/cache_tier.h"
 #include "nvm/live_sink.h"
 #include "nvm/nvm_adapter.h"
-#include "state/write_log.h"
+#include "recording_sink.h"
 #include "state/write_sink.h"
 #include "stream/generators.h"
 
@@ -267,7 +267,7 @@ struct Maker {
 };
 
 // The batch-capable roster (mirrors tests/batch_update_test.cc): every
-// sketch family's real write trace, captured through a WriteLog.
+// sketch family's real write trace, captured through a RecordingSink.
 std::vector<Maker> SketchRoster() {
   return {
       {"misra_gries", [] { return std::make_unique<MisraGries>(64); }},
@@ -293,19 +293,13 @@ std::vector<Maker> SketchRoster() {
 
 std::vector<uint64_t> SketchWriteTrace(const Maker& maker) {
   const std::unique_ptr<Sketch> sketch = maker.make();
-  WriteLog log;
-  sketch->mutable_accountant()->set_write_sink(&log);
+  RecordingSink recorder;
+  sketch->mutable_accountant()->set_write_sink(&recorder);
   for (const Item item : ZipfStream(5000, 1.2, 30000, /*seed=*/321)) {
     sketch->Update(item);
   }
   sketch->mutable_accountant()->set_write_sink(nullptr);
-  EXPECT_EQ(log.dropped(), 0u) << maker.name;
-  std::vector<uint64_t> trace;
-  trace.reserve(log.records().size());
-  for (const WriteRecord& record : log.records()) {
-    trace.push_back(record.cell);
-  }
-  return trace;
+  return recorder.cells();
 }
 
 TEST(CacheTierDifferential, MatchesOracleOnEverySketchTrace) {
@@ -443,7 +437,8 @@ TEST(CacheTierConservation, HoldsAtEveryWriteAndThroughFlush) {
 }
 
 // ---------------------------------------------------------------------------
-// CacheSpec{0} == uncached, bitwise — report for report, live and replay.
+// CacheSpec{0} == uncached, bitwise — report for report; and live pricing
+// == the recorded trace priced afterwards on a sink with the same spec.
 // ---------------------------------------------------------------------------
 
 void ExpectReportsIdentical(const NvmReplayReport& a, const NvmReplayReport& b,
@@ -457,7 +452,6 @@ void ExpectReportsIdentical(const NvmReplayReport& a, const NvmReplayReport& b,
   EXPECT_EQ(a.projected_stream_replays_to_failure,
             b.projected_stream_replays_to_failure)
       << context;
-  EXPECT_EQ(a.dropped_writes, b.dropped_writes) << context;
   EXPECT_EQ(a.cache_enabled, b.cache_enabled) << context;
   EXPECT_EQ(a.cache.total_writes, b.cache.total_writes) << context;
   EXPECT_EQ(a.cache.hits, b.cache.hits) << context;
@@ -473,16 +467,24 @@ NvmSpec SmallSpec() {
   return spec;
 }
 
-TEST(CacheDisabled, LivePathIsBitwiseIdenticalToUncachedAndToReplay) {
+// Prices a recorded trace afterwards on `sink`: each write through the
+// per-record `OnWrite`, then the recorded read total, then a flush.
+void PriceRecorded(const RecordingSink& recorder, LiveNvmSink* sink) {
+  for (const SinkWrite& w : recorder.writes) sink->OnWrite(w.epoch, w.cell);
+  sink->OnBulkReads(recorder.bulk_reads);
+  sink->Flush();
+}
+
+TEST(CacheDisabled, LivePathIsBitwiseIdenticalToUncachedAndToRecordedTrace) {
   for (const Maker& maker : SketchRoster()) {
     // One stream pass, three sinks: a disabled-cache live sink, a plain
-    // live sink, and a log for the replay cross-checks.
+    // live sink, and a recorder for the trace cross-check.
     NvmSpec disabled_spec = SmallSpec();
     disabled_spec.cache = CacheSpec{};  // sets == 0: no tier
     LiveNvmSink with_disabled(disabled_spec);
     LiveNvmSink plain(SmallSpec());
-    WriteLog log;
-    TeeSink tee({&with_disabled, &plain, &log});
+    RecordingSink recorder;
+    TeeSink tee({&with_disabled, &plain, &recorder});
 
     const std::unique_ptr<Sketch> sketch = maker.make();
     sketch->mutable_accountant()->set_write_sink(&tee);
@@ -490,33 +492,20 @@ TEST(CacheDisabled, LivePathIsBitwiseIdenticalToUncachedAndToReplay) {
       sketch->Update(item);
     }
     tee.Flush();
-    ASSERT_EQ(log.dropped(), 0u) << maker.name;
 
     EXPECT_EQ(with_disabled.cache(), nullptr) << maker.name;
     ExpectReportsIdentical(with_disabled.Report(), plain.Report(),
                            std::string(maker.name) + " live disabled==plain");
 
-    // Replay identity, both through the uncached entry point and through
-    // the cached entry point with a disabled spec.
-    NvmDevice replay_device(SmallSpec().config);
-    auto replay_policy = SmallSpec().MakePolicy();
-    const NvmReplayReport replayed = ReplayOnNvm(
-        log, sketch->accountant(), replay_policy.get(), &replay_device);
-    ExpectReportsIdentical(with_disabled.Report(), replayed,
-                           std::string(maker.name) + " live==replay");
-
-    NvmDevice replay_device2(SmallSpec().config);
-    auto replay_policy2 = SmallSpec().MakePolicy();
-    const NvmReplayReport replayed_disabled =
-        ReplayOnNvm(log, sketch->accountant(), replay_policy2.get(),
-                    &replay_device2, CacheSpec{});
-    ExpectReportsIdentical(replayed, replayed_disabled,
-                           std::string(maker.name) + " replay entry points");
+    LiveNvmSink repriced(disabled_spec);
+    PriceRecorded(recorder, &repriced);
+    ExpectReportsIdentical(with_disabled.Report(), repriced.Report(),
+                           std::string(maker.name) + " live==recorded");
     sketch->mutable_accountant()->set_write_sink(nullptr);
   }
 }
 
-TEST(CacheEnabled, LiveAndReplayAgreeReportForReport) {
+TEST(CacheEnabled, LiveAndRecordedTraceAgreeReportForReport) {
   CacheSpec cache;
   cache.sets = 8;
   cache.ways = 4;
@@ -525,8 +514,8 @@ TEST(CacheEnabled, LiveAndReplayAgreeReportForReport) {
     NvmSpec cached_spec = SmallSpec();
     cached_spec.cache = cache;
     LiveNvmSink live(cached_spec);
-    WriteLog log;
-    TeeSink tee({&live, &log});
+    RecordingSink recorder;
+    TeeSink tee({&live, &recorder});
 
     const std::unique_ptr<Sketch> sketch = maker.make();
     sketch->mutable_accountant()->set_write_sink(&tee);
@@ -534,17 +523,13 @@ TEST(CacheEnabled, LiveAndReplayAgreeReportForReport) {
       sketch->Update(item);
     }
     tee.Flush();
-    ASSERT_EQ(log.dropped(), 0u) << maker.name;
 
-    NvmDevice replay_device(cached_spec.config);
-    auto replay_policy = cached_spec.MakePolicy();
-    const NvmReplayReport replayed =
-        ReplayOnNvm(log, sketch->accountant(), replay_policy.get(),
-                    &replay_device, cache);
-    ExpectReportsIdentical(live.Report(), replayed,
-                           std::string(maker.name) + " cached live==replay");
+    LiveNvmSink repriced(cached_spec);
+    PriceRecorded(recorder, &repriced);
+    ExpectReportsIdentical(live.Report(), repriced.Report(),
+                           std::string(maker.name) + " cached live==recorded");
     // The devices behind the two paths agree cell for cell, too.
-    EXPECT_EQ(live.device().cell_wear(), replay_device.cell_wear())
+    EXPECT_EQ(live.device().cell_wear(), repriced.device().cell_wear())
         << maker.name;
     sketch->mutable_accountant()->set_write_sink(nullptr);
   }

@@ -1,6 +1,6 @@
 // Cross-module integration: one realistic stream through every structure,
 // with cross-checks between independent estimators, the oracle, and the
-// NVM replay pipeline.
+// live NVM pricing pipeline.
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,7 @@
 #include "core/fp_estimator.h"
 #include "core/heavy_hitters.h"
 #include "core/small_p_estimator.h"
-#include "nvm/nvm_adapter.h"
-#include "nvm/nvm_device.h"
-#include "nvm/wear_leveling.h"
+#include "nvm/live_sink.h"
 #include "stream/generators.h"
 #include "stream/stream_stats.h"
 
@@ -114,8 +112,10 @@ TEST_F(IntegrationTest, EntropyMatchesMomentBasedBound) {
   EXPECT_NEAR(entropy.EstimateEntropy(), Oracle().ShannonEntropy(), 1.5);
 }
 
-TEST_F(IntegrationTest, NvmReplayAccountsEveryWordWrite) {
-  WriteLog log(1ULL << 22);
+TEST_F(IntegrationTest, LiveNvmSinkPricesEveryWordWrite) {
+  NvmSpec spec;
+  spec.config.num_cells = 1 << 18;
+  LiveNvmSink sink(spec);
   FpEstimatorOptions options;
   options.universe = kUniverse;
   options.stream_length_hint = kLength;
@@ -123,20 +123,14 @@ TEST_F(IntegrationTest, NvmReplayAccountsEveryWordWrite) {
   options.eps = 0.4;
   options.seed = 8;
   FpEstimator alg(options);
-  alg.mutable_accountant()->set_write_sink(&log);
+  alg.mutable_accountant()->set_write_sink(&sink);
   alg.Consume(SharedStream());
 
-  // Every recorded word write lands on the device (minus init epoch-0 and
-  // capacity drops, both zero here).
-  NvmConfig config;
-  config.num_cells = 1 << 18;
-  NvmDevice device(config);
-  auto policy = MakeDirectMapping(config.num_cells);
-  const NvmReplayReport report =
-      ReplayOnNvm(log, alg.accountant(), policy.get(), &device);
-  EXPECT_EQ(report.writes_replayed,
-            alg.accountant().word_writes() - log.dropped());
-  EXPECT_EQ(device.total_writes(), report.writes_replayed);
+  // Every word write and read accounted after the sink was attached lands
+  // on the device (construction made none of either).
+  const NvmReplayReport report = sink.Report();
+  EXPECT_EQ(report.writes_replayed, alg.accountant().word_writes());
+  EXPECT_EQ(sink.device().total_writes(), report.writes_replayed);
   EXPECT_EQ(report.reads_replayed, alg.accountant().word_reads());
   EXPECT_GE(report.writes_replayed, alg.accountant().state_changes());
 }

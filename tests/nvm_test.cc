@@ -10,7 +10,6 @@
 #include "nvm/nvm_device.h"
 #include "nvm/wear_leveling.h"
 #include "state/state_accountant.h"
-#include "state/write_log.h"
 
 namespace fewstate {
 namespace {
@@ -108,10 +107,17 @@ TEST(WearLeveling, HashedMappingSpreadsAHotCell) {
   EXPECT_GT(cells.size(), 90u);  // ~uniform scatter, few collisions
 }
 
-TEST(NvmAdapter, ReplayMatchesLogAndAccountant) {
+// A direct-mapped device of `SmallConfig()`.
+NvmSpec SmallSpec() {
+  NvmSpec spec;
+  spec.config = SmallConfig();
+  return spec;
+}
+
+TEST(NvmAdapter, LiveSinkPricesEveryAccountedWordAndRead) {
   StateAccountant accountant;
-  WriteLog log(1000);
-  accountant.set_write_sink(&log);
+  LiveNvmSink sink(SmallSpec());
+  accountant.set_write_sink(&sink);
   accountant.BeginUpdate();
   accountant.RecordWrite(1);
   accountant.RecordWrite(2);
@@ -119,11 +125,7 @@ TEST(NvmAdapter, ReplayMatchesLogAndAccountant) {
   accountant.RecordWrite(1);
   accountant.RecordRead(7);
 
-  NvmConfig config = SmallConfig();
-  NvmDevice device(config);
-  auto policy = MakeDirectMapping(config.num_cells);
-  const NvmReplayReport report =
-      ReplayOnNvm(log, accountant, policy.get(), &device);
+  const NvmReplayReport report = sink.Report();
   EXPECT_EQ(report.writes_replayed, 3u);
   EXPECT_EQ(report.reads_replayed, 7u);
   EXPECT_EQ(report.max_cell_wear, 2u);  // cell 1 written twice
@@ -131,38 +133,33 @@ TEST(NvmAdapter, ReplayMatchesLogAndAccountant) {
 }
 
 TEST(NvmAdapter, NoWritesMeansInfiniteLifetime) {
-  StateAccountant accountant;
-  WriteLog log(10);
-  NvmConfig config = SmallConfig();
-  NvmDevice device(config);
-  auto policy = MakeDirectMapping(config.num_cells);
-  const NvmReplayReport report =
-      ReplayOnNvm(log, accountant, policy.get(), &device);
+  LiveNvmSink sink(SmallSpec());
+  const NvmReplayReport report = sink.Report();
   EXPECT_TRUE(std::isinf(report.projected_stream_replays_to_failure));
 }
 
 TEST(NvmAdapter, WearLevelingExtendsLifetimeOfHotWorkloads) {
   // A workload that hammers one logical cell: direct mapping dies sooner
   // than rotate/hashed.
-  StateAccountant accountant;
-  WriteLog log(100000);
-  accountant.set_write_sink(&log);
-  for (int i = 0; i < 1000; ++i) {
-    accountant.BeginUpdate();
-    accountant.RecordWrite(0);
-  }
-  NvmConfig config;
-  config.num_cells = 256;
-  config.endurance = 1 << 20;
-
-  auto run = [&](std::unique_ptr<WearLevelingPolicy> policy) {
-    NvmDevice device(config);
-    return ReplayOnNvm(log, accountant, policy.get(), &device)
-        .projected_stream_replays_to_failure;
+  auto run = [](NvmSpec::Leveling leveling) {
+    NvmSpec spec;
+    spec.config.num_cells = 256;
+    spec.config.endurance = 1 << 20;
+    spec.leveling = leveling;
+    spec.rotate_period = 4;
+    spec.hash_seed = 9;
+    StateAccountant accountant;
+    LiveNvmSink sink(spec);
+    accountant.set_write_sink(&sink);
+    for (int i = 0; i < 1000; ++i) {
+      accountant.BeginUpdate();
+      accountant.RecordWrite(0);
+    }
+    return sink.Report().projected_stream_replays_to_failure;
   };
-  const double direct = run(MakeDirectMapping(config.num_cells));
-  const double rotate = run(MakeRotatingMapping(config.num_cells, 4));
-  const double hashed = run(MakeHashedMapping(config.num_cells, 9));
+  const double direct = run(NvmSpec::Leveling::kDirect);
+  const double rotate = run(NvmSpec::Leveling::kRotating);
+  const double hashed = run(NvmSpec::Leveling::kHashed);
   EXPECT_GT(rotate, 10 * direct);
   EXPECT_GT(hashed, 10 * direct);
 }

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <vector>
+
+#include "common/random.h"
+#include "recording_sink.h"
 #include "state/tracked.h"
-#include "state/write_log.h"
 
 namespace fewstate {
 namespace {
@@ -115,31 +121,20 @@ TEST(StateAccountant, ResetClearsEverything) {
   EXPECT_EQ(a.peak_allocated_words(), 0u);
 }
 
-TEST(StateAccountant, WritesFlowToAttachedLog) {
+TEST(StateAccountant, WritesFlowToAttachedSink) {
   StateAccountant a;
-  WriteLog log(100);
-  a.set_write_sink(&log);
+  RecordingSink sink;
+  a.set_write_sink(&sink);
   a.BeginUpdate();
   a.RecordWrite(7);
   a.BeginUpdate();
   a.RecordWrite(9, 2);  // two words: cells 9 and 10
-  ASSERT_EQ(log.records().size(), 3u);
-  EXPECT_EQ(log.records()[0].epoch, 1u);
-  EXPECT_EQ(log.records()[0].cell, 7u);
-  EXPECT_EQ(log.records()[1].cell, 9u);
-  EXPECT_EQ(log.records()[2].cell, 10u);
-  EXPECT_EQ(log.records()[2].epoch, 2u);
-}
-
-TEST(WriteLog, CapacityDropsButCounts) {
-  WriteLog log(3);
-  for (uint64_t i = 0; i < 10; ++i) log.Append(1, i);
-  EXPECT_EQ(log.records().size(), 3u);
-  EXPECT_EQ(log.total_appends(), 10u);
-  EXPECT_EQ(log.dropped(), 7u);
-  log.Clear();
-  EXPECT_EQ(log.records().size(), 0u);
-  EXPECT_EQ(log.total_appends(), 0u);
+  ASSERT_EQ(sink.writes.size(), 3u);
+  EXPECT_EQ(sink.writes[0].epoch, 1u);
+  EXPECT_EQ(sink.writes[0].cell, 7u);
+  EXPECT_EQ(sink.writes[1].cell, 9u);
+  EXPECT_EQ(sink.writes[2].cell, 10u);
+  EXPECT_EQ(sink.writes[2].epoch, 2u);
 }
 
 TEST(TrackedCell, SetCountsOnlyRealChanges) {
@@ -195,14 +190,178 @@ TEST(TrackedArray, SetGetAndRelease) {
 
 TEST(TrackedArray, DistinctCellAddresses) {
   StateAccountant a;
-  WriteLog log(100);
-  a.set_write_sink(&log);
+  RecordingSink sink;
+  a.set_write_sink(&sink);
   TrackedArray<int> arr(&a, 4, 0);
   a.BeginUpdate();
   arr.Set(0, 1);
   arr.Set(3, 1);
-  ASSERT_EQ(log.records().size(), 2u);
-  EXPECT_EQ(log.records()[1].cell - log.records()[0].cell, 3u);
+  ASSERT_EQ(sink.writes.size(), 2u);
+  EXPECT_EQ(sink.writes[1].cell - sink.writes[0].cell, 3u);
+}
+
+// --- ApplyBatch against the scalar Record* sequence, differentially ---
+//
+// A script is a seeded random sequence of accountant calls: a few
+// epoch-0 (initialisation) calls, then stream updates, each a list of
+// multi-word writes, suppressed writes and reads. The scalar side plays
+// it through BeginUpdate/Record*; the batch side mirrors each update
+// into a BatchUpdateScratch and flushes it with ApplyBatch, cut into
+// batches at random update boundaries so that dirty updates are left
+// pending across cuts.
+
+struct ScriptOp {
+  enum class Kind { kWrite, kSuppressed, kRead };
+  Kind kind = Kind::kWrite;
+  uint64_t cell = 0;
+  uint64_t words = 1;
+};
+
+// The update shape `AllChanged` compresses: one write of this many words.
+constexpr uint64_t kRunWords = 2;
+
+struct Script {
+  std::vector<ScriptOp> init;  // before the first BeginUpdate
+  std::vector<std::vector<ScriptOp>> updates;
+  std::vector<size_t> cuts;  // batch ends (update indices), ascending
+};
+
+ScriptOp RandomOp(Rng* rng) {
+  constexpr ScriptOp::Kind kKinds[] = {ScriptOp::Kind::kWrite,
+                                       ScriptOp::Kind::kSuppressed,
+                                       ScriptOp::Kind::kRead};
+  ScriptOp op;
+  op.kind = kKinds[rng->UniformInt(3)];
+  op.cell = rng->UniformInt(64);
+  op.words = 1 + rng->UniformInt(3);
+  return op;
+}
+
+Script RandomScript(uint64_t seed) {
+  Rng rng(seed);
+  Script script;
+  const uint64_t init_ops = rng.UniformInt(4);
+  for (uint64_t i = 0; i < init_ops; ++i) script.init.push_back(RandomOp(&rng));
+  const size_t n = 1 + static_cast<size_t>(rng.UniformInt(300));
+  for (size_t u = 0; u < n; ++u) {
+    std::vector<ScriptOp> ops;
+    if (rng.Bernoulli(0.3)) {
+      ops.push_back(ScriptOp{ScriptOp::Kind::kWrite, rng.UniformInt(64),
+                             kRunWords});
+    } else {
+      const uint64_t k = rng.UniformInt(5);  // 0: a clean update
+      for (uint64_t i = 0; i < k; ++i) ops.push_back(RandomOp(&rng));
+    }
+    script.updates.push_back(ops);
+  }
+  for (size_t u = 1; u < n; ++u) {
+    if (rng.Bernoulli(0.1)) script.cuts.push_back(u);
+  }
+  script.cuts.push_back(n);
+  return script;
+}
+
+void Play(const ScriptOp& op, StateAccountant* a) {
+  switch (op.kind) {
+    case ScriptOp::Kind::kWrite:
+      a->RecordWrite(op.cell, op.words);
+      break;
+    case ScriptOp::Kind::kSuppressed:
+      a->RecordSuppressedWrite(op.words);
+      break;
+    case ScriptOp::Kind::kRead:
+      a->RecordRead(op.words);
+      break;
+  }
+}
+
+void Mirror(const ScriptOp& op, BatchUpdateScratch* scratch) {
+  switch (op.kind) {
+    case ScriptOp::Kind::kWrite:
+      scratch->Write(op.cell, op.words);
+      break;
+    case ScriptOp::Kind::kSuppressed:
+      scratch->SuppressedWrite(op.words);
+      break;
+    case ScriptOp::Kind::kRead:
+      scratch->Read(op.words);
+      break;
+  }
+}
+
+bool IsRunUpdate(const std::vector<ScriptOp>& ops) {
+  return ops.size() == 1 && ops[0].kind == ScriptOp::Kind::kWrite &&
+         ops[0].words == kRunWords;
+}
+
+TEST(StateAccountantBatch, ApplyBatchMatchesScalarRecordSequence) {
+  uint64_t pending_dirty_cuts = 0;
+  for (const bool with_sink : {false, true}) {
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   (with_sink ? " sink" : " no sink"));
+      const Script script = RandomScript(seed);
+      StateAccountant scalar;
+      StateAccountant batched;
+      RecordingSink scalar_sink;
+      RecordingSink batched_sink;
+      if (with_sink) {
+        scalar.set_write_sink(&scalar_sink);
+        batched.set_write_sink(&batched_sink);
+      }
+      for (const ScriptOp& op : script.init) {
+        Play(op, &scalar);
+        Play(op, &batched);
+      }
+
+      Rng coin(seed ^ 0x5eedULL);
+      BatchUpdateScratch scratch;
+      size_t begin = 0;
+      for (const size_t end : script.cuts) {
+        for (size_t u = begin; u < end; ++u) {
+          scalar.BeginUpdate();
+          for (const ScriptOp& op : script.updates[u]) Play(op, &scalar);
+        }
+        scratch.Begin(batched.needs_cell_addresses());
+        for (size_t u = begin; u < end;) {
+          // Without a sink, a stretch of one-write updates may go in as
+          // one aggregate AllChanged call instead of item by item.
+          size_t run = 0;
+          while (!with_sink && u + run < end &&
+                 IsRunUpdate(script.updates[u + run])) {
+            ++run;
+          }
+          if (run > 0 && coin.Bernoulli(0.5)) {
+            scratch.AllChanged(run, kRunWords);
+            u += run;
+            continue;
+          }
+          scratch.BeginItem();
+          for (const ScriptOp& op : script.updates[u]) Mirror(op, &scratch);
+          ++u;
+        }
+        batched.ApplyBatch(scratch);
+        if (end < script.updates.size() && scratch.last_changed()) {
+          ++pending_dirty_cuts;
+        }
+        begin = end;
+
+        SCOPED_TRACE("after update " + std::to_string(end));
+        ASSERT_EQ(scalar.updates(), batched.updates());
+        ASSERT_EQ(scalar.state_changes(), batched.state_changes());
+        ASSERT_EQ(scalar.word_writes(), batched.word_writes());
+        ASSERT_EQ(scalar.suppressed_writes(), batched.suppressed_writes());
+        ASSERT_EQ(scalar.word_reads(), batched.word_reads());
+        ASSERT_EQ(scalar_sink.writes, batched_sink.writes);
+        ASSERT_EQ(scalar_sink.bulk_reads, batched_sink.bulk_reads);
+      }
+      if (with_sink) {
+        EXPECT_EQ(batched_sink.writes.size(), batched.word_writes());
+      }
+    }
+  }
+  // The scripts do leave dirty updates pending across cuts.
+  EXPECT_GT(pending_dirty_cuts, 100u);
 }
 
 }  // namespace
