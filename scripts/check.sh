@@ -83,6 +83,15 @@ if printf '%s\n' "$apply_batch" | grep -nE '\bOnWrite\('; then
   exit 1
 fi
 
+# Flat-summary gate: SpaceSaving is a Stream-Summary in flat arrays with
+# no heap traffic after construction. Node-based containers in its header
+# are the map-of-sets it replaced (a heap node freed and allocated on
+# every increment); they must not come back.
+if grep -nE '#include <(map|unordered_map|unordered_set)>' src/baselines/space_saving.h; then
+  echo "check.sh: src/baselines/space_saving.h includes a node-based container — keep SpaceSaving in its flat slot/bucket/index arrays" >&2
+  exit 1
+fi
+
 # Source-error gate: a `FileSource` or `SocketSource` constructed in
 # examples/ must have its error channel consulted in the same file
 # (`.ok()` or `.status()`). An unopenable trace — or a lossy, truncated,

@@ -109,10 +109,10 @@ struct CheckpointPolicy {
   /// \brief Checkpoint when `words` distinct words have changed since the
   /// last checkpoint (0 disables). Deltas by default: the trigger equals
   /// the delta size, so every checkpoint writes ~`words` words. The
-  /// count is at the accountant's cell granularity — a sketch with
-  /// coarse write addressing (SpaceSaving maps all writes onto the three
-  /// cells at its base address) under-reports dirtiness and may never
-  /// reach a large threshold; prefer `WriteBudget` for such sketches.
+  /// count is at the accountant's cell granularity; every in-tree
+  /// sketch addresses its state per word or per slot (SpaceSaving and
+  /// MisraGries charge each entry's own slot cells), so the dirty set is
+  /// the true set of changed words.
   static CheckpointPolicy DirtyWords(uint64_t words,
                                      Snapshot mode = Snapshot::kDelta) {
     CheckpointPolicy p;

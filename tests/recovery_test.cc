@@ -3,7 +3,8 @@
 // policies, and kill-and-recover replay — a replica rebuilt from its last
 // delta checkpoint plus the trace tail must be bitwise-identical to the
 // uninterrupted run, estimates and tail accounting included, for CountMin,
-// MisraGries and the write-frugal Morris-mode stable sketch.
+// MisraGries and the write-frugal Morris-mode stable sketch, and for
+// SpaceSaving, whose restores also carry its tie order.
 
 #include <gtest/gtest.h>
 
@@ -18,6 +19,7 @@
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
 #include "baselines/misra_gries.h"
+#include "baselines/space_saving.h"
 #include "baselines/stable_sketch.h"
 #include "core/sample_and_hold.h"
 #include "nvm/live_sink.h"
@@ -463,6 +465,98 @@ TEST(KillAndRecover, RecoveryFailsCleanlyWhereItCannotBeExact) {
                               reservoir, VectorSource(Stream{}),
                               RecoveryOptions(), &recovered)
                    .ok());
+}
+
+// SpaceSaving's restores copy its slot words (priced) and its index and
+// bucket order (unpriced metadata), so a replica rebuilt from a delta
+// checkpoint evicts the same entries as the one that never crashed.
+TEST(KillAndRecover, SpaceSavingRebuildsBitwiseFromDeltaCheckpoints) {
+  const Stream stream = TestStream(60000);
+  const SketchFactory factory =
+      SketchFactory::Of<SpaceSaving>("space_saving", size_t{256});
+  ShardedEngineOptions options;
+  options.shards = 2;
+  options.batch_items = 1024;
+  options.checkpoint_policy =
+      CheckpointPolicy::EveryItems(7000, CheckpointPolicy::Snapshot::kDelta);
+  options.checkpoint_policy.full_snapshot_dirty_fraction = 1.01;
+  options.checkpoint_nvm = SmallSpec();
+  ShardedEngine engine(options);
+  ASSERT_TRUE(engine.AddSketch(factory).ok());
+  const ShardedRunReport report = engine.Run(VectorSource(stream));
+
+  const size_t crashed_shard = 1;
+  Stream shard_items;
+  for (Item item : stream) {
+    if (engine.ShardOf(item) == crashed_shard) shard_items.push_back(item);
+  }
+  const ShardedSketchReport* row = report.Find(factory.name());
+  ASSERT_NE(row, nullptr);
+  ASSERT_GT(row->checkpoint.delta_checkpoints, 0u);
+  const uint64_t cut = row->last_checkpoint_items[crashed_shard];
+  ASSERT_GT(cut, 0u);
+  ASSERT_LT(cut, shard_items.size());
+  const Stream tail(shard_items.begin() + static_cast<long>(cut),
+                    shard_items.end());
+
+  const Sketch* snapshot = engine.Snapshot(crashed_shard, factory.name());
+  ASSERT_NE(snapshot, nullptr);
+  RecoveredReplica recovered;
+  ASSERT_TRUE(RecoverReplica(factory, *snapshot, VectorSource(tail),
+                             RecoveryOptions(), &recovered)
+                  .ok());
+  Sketch* uninterrupted = engine.Replica(crashed_shard, factory.name());
+  ASSERT_NE(uninterrupted, nullptr);
+  ExpectEstimatesIdentical(*recovered.sketch, *uninterrupted);
+  const auto& rebuilt = dynamic_cast<const SpaceSaving&>(*recovered.sketch);
+  const auto& original = dynamic_cast<const SpaceSaving&>(*uninterrupted);
+  std::vector<Item> rebuilt_order;
+  std::vector<Item> original_order;
+  rebuilt.AppendCandidates(&rebuilt_order);
+  original.AppendCandidates(&original_order);
+  EXPECT_EQ(rebuilt_order, original_order);
+  EXPECT_EQ(rebuilt.min_count(), original.min_count());
+
+  // The tail replay and a continuation stream make the same state
+  // changes, word for word, as the uninterrupted replica.
+  std::unique_ptr<Sketch> reference = factory.Make();
+  reference->Consume(
+      Stream(shard_items.begin(), shard_items.begin() + static_cast<long>(cut)));
+  ExpectDeltasIdentical(recovered.report.replay,
+                        DeltaOver(reference.get(), tail));
+  const Stream continuation = TestStream(5000, /*seed=*/555);
+  ExpectDeltasIdentical(DeltaOver(recovered.sketch.get(), continuation),
+                        DeltaOver(uninterrupted, continuation));
+  ExpectEstimatesIdentical(*recovered.sketch, *uninterrupted);
+}
+
+TEST(Restorable, SpaceSavingRejectsAMismatchedCapacityUntouched) {
+  const Stream stream = TestStream(20000);
+  SpaceSaving source(128);
+  source.Consume(stream);
+  SpaceSaving destination(64);
+  destination.Consume(TestStream(3000, /*seed=*/77));
+  std::vector<double> before;
+  for (Item item = 0; item < kFlows; ++item) {
+    before.push_back(destination.EstimateFrequency(item));
+  }
+  const AccountantSnapshot accounts =
+      AccountantSnapshot::Of(destination.accountant());
+  EXPECT_FALSE(destination.RestoreFrom(source).ok());
+  EXPECT_FALSE(destination.RestoreDirty(source, DirtyTracker()).ok());
+  EXPECT_FALSE(destination.RestoreFrom(destination).ok());  // self
+  for (Item item = 0; item < kFlows; ++item) {
+    ASSERT_EQ(destination.EstimateFrequency(item), before[item]);
+  }
+  ExpectDeltasIdentical(
+      accounts.DeltaTo(AccountantSnapshot::Of(destination.accountant())),
+      SketchRunReport());
+  RecoveredReplica recovered;
+  EXPECT_FALSE(
+      RecoverReplica(SketchFactory::Of<SpaceSaving>("space_saving", size_t{64}),
+                     source, VectorSource(Stream{}), RecoveryOptions(),
+                     &recovered)
+          .ok());
 }
 
 }  // namespace
