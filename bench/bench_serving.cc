@@ -20,7 +20,7 @@
 // Usage: bench_serving [stream_length] [cadence_list] [full|delta]
 //                      [obs] [--obs-out <dir>]
 // (defaults: 3000000, "2000,10000,50000", delta). `delta` exercises the
-// double-buffered publication path: restorable sketches keep a persistent
+// double-buffered publication path: every sketch keeps a persistent
 // delta base, so serving copies the base into a spare buffer instead of
 // publishing the mutable object (priced as bulk reads on the checkpoint
 // device).
@@ -65,8 +65,8 @@ constexpr char kQueried[] = "count_min";
 
 std::vector<SketchFactory> Roster() {
   return {
-      // The queried structure: restorable, so delta cadences exercise the
-      // copy-on-publish path.
+      // The queried structure; delta cadences exercise the copy-on-publish
+      // path.
       SketchFactory::Of<CountMin>(kQueried, size_t{4}, size_t{2048},
                                   uint64_t{21}, false),
       // Rides along to keep publication multi-sketch, as in a real

@@ -25,7 +25,7 @@
 // live replicas into NVM-backed snapshots every that-many items, and the
 // ckpt columns report the durability wear priced through the live
 // WriteSink pipeline. `delta` switches the snapshots to delta
-// checkpoints (`CheckpointPolicy::Snapshot::kDelta`): restorable sketches
+// checkpoints (`CheckpointPolicy::Snapshot::kDelta`): the sketches
 // re-serialize only the words their `DirtyTracker` saw change, splitting
 // the ckpt count into full/delta in the table and the `ckpt_full` /
 // `ckpt_delta` CSV columns.

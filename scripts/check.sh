@@ -41,6 +41,17 @@ if grep -rnwE 'WriteLog|ReplayOnNvm' src bench examples; then
   exit 1
 fi
 
+# One-replica-contract gate: every mergeable sketch checkpoints and
+# recovers through `MergeableSketch::RestoreFrom` (a nullable dirty set
+# selects a delta restore), behind the one `SourceAs` prologue. The
+# separate restore interface, its delta entry point and the per-operation
+# prologue helpers were a second spelling of that contract; they must not
+# come back.
+if grep -rnwE 'RestorableSketch|RestoreDirty|IsRestorable|AsRestorable|RestoreSourceAs|MergeSourceAs' src tests bench examples; then
+  echo "check.sh: a retired restore API in src/, tests/, bench/ or examples/ — implement and call MergeableSketch::RestoreFrom instead" >&2
+  exit 1
+fi
+
 # Batch-drain gate: both engines drain through one loop, `BatchDrainer`
 # (src/api/batch_drainer.cc), which feeds sketches through `UpdateBatch`
 # (the vectorized hot path); `StreamingAlgorithm::Drain` (item_source.cc)

@@ -24,15 +24,19 @@ void AmsSketch::Update(Item item) {
 
 Status AmsSketch::MergeFrom(const Sketch& other) {
   Status status;
-  const auto* src = MergeSourceAs<AmsSketch>(this, other, &status);
+  const auto* src = SourceAs(this, other, "AmsSketch::MergeFrom", &status);
   if (src == nullptr) return status;
-  if (src->rows_ != rows_ || src->cols_ != cols_ || src->seed_ != seed_) {
-    return Status::InvalidArgument(
-        "AmsSketch::MergeFrom: incompatible configuration (rows, cols and "
-        "seed must match)");
-  }
   accountant_.BeginUpdate();
   AddTrackedArray(accumulators_.get(), *src->accumulators_);
+  return Status::OK();
+}
+
+Status AmsSketch::RestoreFrom(const Sketch& source, const DirtyTracker* dirty) {
+  Status status;
+  const auto* src = SourceAs(this, source, "AmsSketch::RestoreFrom", &status);
+  if (src == nullptr) return status;
+  accountant_.BeginUpdate();
+  CopyTrackedArray(accumulators_.get(), *src->accumulators_, dirty);
   return Status::OK();
 }
 

@@ -36,6 +36,13 @@ class AmsSketch : public MergeableSketch {
   /// is exactly equivalent to one sketch over the concatenated streams.
   Status MergeFrom(const Sketch& other) override;
 
+  /// \brief Overwrites the accumulators with another AMS sketch's (same
+  /// rows, cols, seed), pricing only words that differ — the
+  /// checkpoint/restore contract; a `dirty` restore scans only the dirty
+  /// cells.
+  Status RestoreFrom(const Sketch& source,
+                     const DirtyTracker* dirty = nullptr) override;
+
   /// \brief Median-of-means estimate of F2.
   double EstimateF2() const;
 
@@ -44,6 +51,12 @@ class AmsSketch : public MergeableSketch {
   /// much noisier than the heavy-hitter structures, but a legitimate
   /// frequency estimator (and what makes AmsSketch a full `Sketch`).
   double EstimateFrequency(Item item) const override;
+
+  /// \brief True iff `other` has this sketch's rows, cols and seed — the
+  /// merge/restore precondition.
+  bool SameConfig(const AmsSketch& other) const {
+    return other.rows_ == rows_ && other.cols_ == cols_ && other.seed_ == seed_;
+  }
 
   const StateAccountant& accountant() const override { return accountant_; }
   StateAccountant* mutable_accountant() override { return &accountant_; }

@@ -110,45 +110,21 @@ void CountMin::UpdateBatch(const Item* items, size_t n) {
 
 Status CountMin::MergeFrom(const Sketch& other) {
   Status status;
-  const auto* src = MergeSourceAs<CountMin>(this, other, &status);
+  const auto* src = SourceAs(this, other, "CountMin::MergeFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "CountMin::MergeFrom: incompatible configuration (depth, width, seed "
-        "and update mode must match)");
-  }
   // One merge is one accounting epoch.
   accountant_.BeginUpdate();
   AddTrackedArray(table_.get(), *src->table_);
   return Status::OK();
 }
 
-Status CountMin::RestoreFrom(const Sketch& source) {
+Status CountMin::RestoreFrom(const Sketch& source, const DirtyTracker* dirty) {
   Status status;
-  const auto* src = RestoreSourceAs<CountMin>(this, source, &status);
+  const auto* src = SourceAs(this, source, "CountMin::RestoreFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "CountMin::RestoreFrom: incompatible configuration (depth, width, "
-        "seed and update mode must match)");
-  }
   // One restore is one accounting epoch.
   accountant_.BeginUpdate();
-  CopyTrackedArray(table_.get(), *src->table_);
-  return Status::OK();
-}
-
-Status CountMin::RestoreDirty(const Sketch& source, const DirtyTracker& dirty) {
-  Status status;
-  const auto* src = RestoreSourceAs<CountMin>(this, source, &status);
-  if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "CountMin::RestoreDirty: incompatible configuration (depth, width, "
-        "seed and update mode must match)");
-  }
-  accountant_.BeginUpdate();
-  CopyTrackedArrayCells(table_.get(), *src->table_, dirty.SortedCells());
+  CopyTrackedArray(table_.get(), *src->table_, dirty);
   return Status::OK();
 }
 

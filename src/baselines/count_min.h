@@ -10,7 +10,6 @@
 #include "common/hashing.h"
 #include "common/status.h"
 #include "common/stream_types.h"
-#include "recover/restorable.h"
 #include "state/state_accountant.h"
 #include "state/tracked.h"
 
@@ -23,7 +22,7 @@ namespace fewstate {
 /// so every stream update is a state change (Theta(m) under the paper's
 /// metric). Width w gives additive error 2m/w with probability
 /// 1 - 2^{-depth} (or m/w under conservative update).
-class CountMin : public MergeableSketch, public RestorableSketch {
+class CountMin : public MergeableSketch {
  public:
   /// \brief Creates a sketch of `depth` rows by `width` counters.
   ///
@@ -55,12 +54,9 @@ class CountMin : public MergeableSketch, public RestorableSketch {
   /// \brief Overwrites the table with another CountMin's (same depth,
   /// width, seed, update mode), pricing only words that differ — the
   /// checkpoint/restore contract. Exact in both update modes (the state is
-  /// just the counter grid).
-  Status RestoreFrom(const Sketch& source) override;
-
-  /// \brief Delta restore: copies only the dirty cells (O(dirty) scan).
-  Status RestoreDirty(const Sketch& source,
-                      const DirtyTracker& dirty) override;
+  /// just the counter grid); a `dirty` restore scans only the dirty cells.
+  Status RestoreFrom(const Sketch& source,
+                     const DirtyTracker* dirty = nullptr) override;
 
   /// \brief Overestimate of the frequency of `item` (min over rows).
   double EstimateFrequency(Item item) const override;
@@ -75,15 +71,17 @@ class CountMin : public MergeableSketch, public RestorableSketch {
   size_t depth() const { return depth_; }
   size_t width() const { return width_; }
 
-  const StateAccountant& accountant() const override { return accountant_; }
-  StateAccountant* mutable_accountant() override { return &accountant_; }
-
- private:
+  /// \brief True iff `other` has this sketch's depth, width, seed and
+  /// update mode — the merge/restore precondition.
   bool SameConfig(const CountMin& other) const {
     return other.depth_ == depth_ && other.width_ == width_ &&
            other.seed_ == seed_ && other.conservative_ == conservative_;
   }
 
+  const StateAccountant& accountant() const override { return accountant_; }
+  StateAccountant* mutable_accountant() override { return &accountant_; }
+
+ private:
   size_t depth_;
   size_t width_;
   uint64_t seed_;

@@ -78,44 +78,20 @@ void CountSketch::UpdateBatch(const Item* items, size_t n) {
 
 Status CountSketch::MergeFrom(const Sketch& other) {
   Status status;
-  const auto* src = MergeSourceAs<CountSketch>(this, other, &status);
+  const auto* src = SourceAs(this, other, "CountSketch::MergeFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "CountSketch::MergeFrom: incompatible configuration (depth, width "
-        "and seed must match)");
-  }
   accountant_.BeginUpdate();
   AddTrackedArray(table_.get(), *src->table_);
   return Status::OK();
 }
 
-Status CountSketch::RestoreFrom(const Sketch& source) {
+Status CountSketch::RestoreFrom(const Sketch& source,
+                                const DirtyTracker* dirty) {
   Status status;
-  const auto* src = RestoreSourceAs<CountSketch>(this, source, &status);
+  const auto* src = SourceAs(this, source, "CountSketch::RestoreFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "CountSketch::RestoreFrom: incompatible configuration (depth, width "
-        "and seed must match)");
-  }
   accountant_.BeginUpdate();
-  CopyTrackedArray(table_.get(), *src->table_);
-  return Status::OK();
-}
-
-Status CountSketch::RestoreDirty(const Sketch& source,
-                                 const DirtyTracker& dirty) {
-  Status status;
-  const auto* src = RestoreSourceAs<CountSketch>(this, source, &status);
-  if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "CountSketch::RestoreDirty: incompatible configuration (depth, width "
-        "and seed must match)");
-  }
-  accountant_.BeginUpdate();
-  CopyTrackedArrayCells(table_.get(), *src->table_, dirty.SortedCells());
+  CopyTrackedArray(table_.get(), *src->table_, dirty);
   return Status::OK();
 }
 

@@ -10,7 +10,6 @@
 #include "common/hashing.h"
 #include "common/status.h"
 #include "common/stream_types.h"
-#include "recover/restorable.h"
 #include "state/state_accountant.h"
 #include "state/tracked.h"
 
@@ -23,7 +22,7 @@ namespace fewstate {
 /// (always a state change => Theta(m) state changes). The frequency
 /// estimate is the median over rows of sign * counter, with additive error
 /// O(||f||_2 / sqrt(width)) per row.
-class CountSketch : public MergeableSketch, public RestorableSketch {
+class CountSketch : public MergeableSketch {
  public:
   CountSketch(size_t depth, size_t width, uint64_t seed);
 
@@ -43,12 +42,10 @@ class CountSketch : public MergeableSketch, public RestorableSketch {
 
   /// \brief Overwrites the table with another CountSketch's (same depth,
   /// width, seed), pricing only words that differ — the
-  /// checkpoint/restore contract.
-  Status RestoreFrom(const Sketch& source) override;
-
-  /// \brief Delta restore: copies only the dirty cells (O(dirty) scan).
-  Status RestoreDirty(const Sketch& source,
-                      const DirtyTracker& dirty) override;
+  /// checkpoint/restore contract; a `dirty` restore scans only the dirty
+  /// cells.
+  Status RestoreFrom(const Sketch& source,
+                     const DirtyTracker* dirty = nullptr) override;
 
   /// \brief Median-of-rows estimate of the frequency of `item`.
   double EstimateFrequency(Item item) const override;
@@ -64,15 +61,17 @@ class CountSketch : public MergeableSketch, public RestorableSketch {
   size_t depth() const { return depth_; }
   size_t width() const { return width_; }
 
-  const StateAccountant& accountant() const override { return accountant_; }
-  StateAccountant* mutable_accountant() override { return &accountant_; }
-
- private:
+  /// \brief True iff `other` has this sketch's depth, width and seed — the
+  /// merge/restore precondition.
   bool SameConfig(const CountSketch& other) const {
     return other.depth_ == depth_ && other.width_ == width_ &&
            other.seed_ == seed_;
   }
 
+  const StateAccountant& accountant() const override { return accountant_; }
+  StateAccountant* mutable_accountant() override { return &accountant_; }
+
+ private:
   size_t depth_;
   size_t width_;
   uint64_t seed_;

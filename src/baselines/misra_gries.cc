@@ -58,12 +58,8 @@ void MisraGries::UpdateBatch(const Item* items, size_t n) {
 
 Status MisraGries::MergeFrom(const Sketch& other) {
   Status status;
-  const auto* src = MergeSourceAs<MisraGries>(this, other, &status);
+  const auto* src = SourceAs(this, other, "MisraGries::MergeFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "MisraGries::MergeFrom: capacities must match");
-  }
   accountant_.BeginUpdate();
   for (const auto& [item, entry] : src->counts_) {
     accountant_.RecordRead();
@@ -120,14 +116,11 @@ Status MisraGries::MergeFrom(const Sketch& other) {
   return Status::OK();
 }
 
-Status MisraGries::RestoreFrom(const Sketch& source) {
+Status MisraGries::RestoreFrom(const Sketch& source,
+                               const DirtyTracker* /*dirty*/) {
   Status status;
-  const auto* src = RestoreSourceAs<MisraGries>(this, source, &status);
+  const auto* src = SourceAs(this, source, "MisraGries::RestoreFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "MisraGries::RestoreFrom: capacities must match");
-  }
   accountant_.BeginUpdate();
   // Evict entries the source no longer tracks (one tombstone word each —
   // the slot's zeroed count word).

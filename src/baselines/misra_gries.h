@@ -9,7 +9,6 @@
 #include "api/mergeable.h"
 #include "common/status.h"
 #include "common/stream_types.h"
-#include "recover/restorable.h"
 #include "state/state_accountant.h"
 
 namespace fewstate {
@@ -21,9 +20,7 @@ namespace fewstate {
 /// with additive error at most m/(k+1). Every stream update mutates the
 /// summary, so the paper's state-change metric is Theta(m) — this is the
 /// canonical "writes on every update" baseline the paper contrasts with.
-class MisraGries : public MergeableSketch,
-                   public RestorableSketch,
-                   public CandidateEnumerable {
+class MisraGries : public MergeableSketch, public CandidateEnumerable {
  public:
   /// \brief Creates a summary with capacity `k >= 1` counters.
   explicit MisraGries(size_t k);
@@ -49,11 +46,12 @@ class MisraGries : public MergeableSketch,
   /// capacity) entry for entry: unchanged (item, count) pairs are
   /// suppressed, changed counts cost one word, inserted pairs two, and
   /// evicted slots one (the tombstone) — the checkpoint/restore contract
-  /// for map-shaped state. Delta restores use the default full scan with
-  /// suppression; that is near-optimal here because MG changes most of
-  /// its counts between checkpoints anyway — it is the paper's
+  /// for map-shaped state. A `dirty` restore still takes the full scan
+  /// with suppression; that is near-optimal here because MG changes most
+  /// of its counts between checkpoints anyway — it is the paper's
   /// writes-everywhere baseline, so its deltas ≈ full rewrites by nature.
-  Status RestoreFrom(const Sketch& source) override;
+  Status RestoreFrom(const Sketch& source,
+                     const DirtyTracker* dirty = nullptr) override;
 
   /// \brief Underestimate of the frequency of `item` (0 if not tracked).
   double EstimateFrequency(Item item) const override;
@@ -74,13 +72,15 @@ class MisraGries : public MergeableSketch,
   /// \brief Capacity.
   size_t capacity() const { return k_; }
 
+  /// \brief True iff `other` has this summary's capacity — the
+  /// merge/restore precondition.
+  bool SameConfig(const MisraGries& other) const { return other.k_ == k_; }
+
   /// \brief State-change instrumentation.
   const StateAccountant& accountant() const override { return accountant_; }
   StateAccountant* mutable_accountant() override { return &accountant_; }
 
  private:
-  bool SameConfig(const MisraGries& other) const { return other.k_ == k_; }
-
   // Each tracked entry owns a 2-word slot: key word at
   // `cells_base_ + 2*slot`, count word at `cells_base_ + 2*slot + 1`.
   // Fine-grained addressing lets `DirtyTracker` (and batch

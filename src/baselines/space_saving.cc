@@ -189,12 +189,8 @@ void SpaceSaving::UpdateBatch(const Item* items, size_t n) {
 
 Status SpaceSaving::MergeFrom(const Sketch& other) {
   Status status;
-  const auto* src = MergeSourceAs<SpaceSaving>(this, other, &status);
+  const auto* src = SourceAs(this, other, "SpaceSaving::MergeFrom", &status);
   if (src == nullptr) return status;
-  if (src->k_ != k_) {
-    return Status::InvalidArgument(
-        "SpaceSaving::MergeFrom: capacities must match");
-  }
   ReserveArrays();
   accountant_.BeginUpdate();
   // Both passes walk the source by ascending count. Common items go first:
@@ -253,14 +249,11 @@ Status SpaceSaving::MergeFrom(const Sketch& other) {
   return Status::OK();
 }
 
-Status SpaceSaving::RestoreFrom(const Sketch& source) {
+Status SpaceSaving::RestoreFrom(const Sketch& source,
+                                const DirtyTracker* /*dirty*/) {
   Status status;
-  const auto* src = RestoreSourceAs<SpaceSaving>(this, source, &status);
+  const auto* src = SourceAs(this, source, "SpaceSaving::RestoreFrom", &status);
   if (src == nullptr) return status;
-  if (src->k_ != k_) {
-    return Status::InvalidArgument(
-        "SpaceSaving::RestoreFrom: capacities must match");
-  }
   accountant_.BeginUpdate();
   const size_t ours = slots_.size();
   const size_t theirs = src->slots_.size();

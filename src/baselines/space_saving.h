@@ -8,7 +8,6 @@
 #include "api/mergeable.h"
 #include "common/status.h"
 #include "common/stream_types.h"
-#include "recover/restorable.h"
 #include "state/state_accountant.h"
 
 namespace fewstate {
@@ -40,9 +39,7 @@ namespace fewstate {
 /// head of the minimum bucket, so among minimum-count entries the one that
 /// has held that count longest goes first (FIFO). Candidates are
 /// enumerated by descending count, FIFO within a count.
-class SpaceSaving : public MergeableSketch,
-                    public RestorableSketch,
-                    public CandidateEnumerable {
+class SpaceSaving : public MergeableSketch, public CandidateEnumerable {
  public:
   /// \brief Creates a summary with capacity `k >= 1` counters (k < 2^31).
   explicit SpaceSaving(size_t k);
@@ -82,9 +79,10 @@ class SpaceSaving : public MergeableSketch,
   /// derived from the slots; they are copied verbatim and unpriced, which
   /// is what makes the restored replica continue the stream bitwise like
   /// the source (tie order included). Restoring an unchanged replica
-  /// costs 0 writes, so the default `RestoreDirty` gives exact delta
-  /// checkpoints.
-  Status RestoreFrom(const Sketch& source) override;
+  /// costs 0 writes, so a `dirty` restore takes the same full scan and
+  /// still gives exact delta checkpoints.
+  Status RestoreFrom(const Sketch& source,
+                     const DirtyTracker* dirty = nullptr) override;
 
   /// \brief Overestimate of the frequency of `item` (min count if not
   /// tracked, matching the classic guarantee f_j <= est <= f_j + min).
@@ -105,6 +103,10 @@ class SpaceSaving : public MergeableSketch,
 
   size_t size() const { return slots_.size(); }
   size_t capacity() const { return k_; }
+
+  /// \brief True iff `other` has this summary's capacity — the
+  /// merge/restore precondition.
+  bool SameConfig(const SpaceSaving& other) const { return other.k_ == k_; }
 
   const StateAccountant& accountant() const override { return accountant_; }
   StateAccountant* mutable_accountant() override { return &accountant_; }

@@ -109,13 +109,8 @@ void StableSketch::Update(Item item) {
 
 Status StableSketch::MergeFrom(const Sketch& other) {
   Status status;
-  const auto* src = MergeSourceAs<StableSketch>(this, other, &status);
+  const auto* src = SourceAs(this, other, "StableSketch::MergeFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "StableSketch::MergeFrom: incompatible configuration (p, rows, "
-        "seed, counter mode and Morris growth must match)");
-  }
   if (manage_epochs_) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
     AddTrackedArray(exact_rows_.get(), *src->exact_rows_);
@@ -130,57 +125,30 @@ Status StableSketch::MergeFrom(const Sketch& other) {
   return Status::OK();
 }
 
-Status StableSketch::RestoreFrom(const Sketch& source) {
+Status StableSketch::RestoreFrom(const Sketch& source,
+                                 const DirtyTracker* dirty) {
   Status status;
-  const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
+  const auto* src =
+      SourceAs(this, source, "StableSketch::RestoreFrom", &status);
   if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "StableSketch::RestoreFrom: incompatible configuration (p, rows, "
-        "seed, counter mode and Morris growth must match)");
-  }
   if (manage_epochs_) accountant_->BeginUpdate();
   if (mode_ == CounterMode::kExact) {
-    CopyTrackedArray(exact_rows_.get(), *src->exact_rows_);
+    CopyTrackedArray(exact_rows_.get(), *src->exact_rows_, dirty);
   } else {
+    // Growth parameters were checked above, so the per-counter restores
+    // cannot fail; a counter outside the dirty set is already equal.
     for (size_t r = 0; r < rows_; ++r) {
-      // Growth parameters were checked above, so the per-counter restores
-      // cannot fail.
-      pos_counters_[r].RestoreFrom(src->pos_counters_[r]);
-      neg_counters_[r].RestoreFrom(src->neg_counters_[r]);
+      if (dirty == nullptr || dirty->Contains(src->pos_counters_[r].cell())) {
+        pos_counters_[r].RestoreFrom(src->pos_counters_[r]);
+      }
+      if (dirty == nullptr || dirty->Contains(src->neg_counters_[r].cell())) {
+        neg_counters_[r].RestoreFrom(src->neg_counters_[r]);
+      }
     }
   }
   // The RNG cursor is state too (it decides the future coin flips), but it
   // is not a tracked word — the streaming model never charges for it, on
   // update or on restore.
-  rng_ = src->rng_;
-  return Status::OK();
-}
-
-Status StableSketch::RestoreDirty(const Sketch& source,
-                                  const DirtyTracker& dirty) {
-  Status status;
-  const auto* src = RestoreSourceAs<StableSketch>(this, source, &status);
-  if (src == nullptr) return status;
-  if (!SameConfig(*src)) {
-    return Status::InvalidArgument(
-        "StableSketch::RestoreDirty: incompatible configuration (p, rows, "
-        "seed, counter mode and Morris growth must match)");
-  }
-  if (manage_epochs_) accountant_->BeginUpdate();
-  if (mode_ == CounterMode::kExact) {
-    CopyTrackedArrayCells(exact_rows_.get(), *src->exact_rows_,
-                          dirty.SortedCells());
-  } else {
-    for (size_t r = 0; r < rows_; ++r) {
-      if (dirty.Contains(src->pos_counters_[r].cell())) {
-        pos_counters_[r].RestoreFrom(src->pos_counters_[r]);
-      }
-      if (dirty.Contains(src->neg_counters_[r].cell())) {
-        neg_counters_[r].RestoreFrom(src->neg_counters_[r]);
-      }
-    }
-  }
   rng_ = src->rng_;
   return Status::OK();
 }

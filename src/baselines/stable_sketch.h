@@ -12,7 +12,6 @@
 #include "common/status.h"
 #include "common/stream_types.h"
 #include "counters/morris_counter.h"
-#include "recover/restorable.h"
 #include "state/state_accountant.h"
 #include "state/tracked.h"
 
@@ -47,7 +46,7 @@ namespace fewstate {
 /// the math entirely; a hit returns exactly the doubles `Entry` would
 /// compute. Batches take the default per-item loop over `Update`, so both
 /// counter modes share the one memoised update body.
-class StableSketch : public MergeableSketch, public RestorableSketch {
+class StableSketch : public MergeableSketch {
  public:
   enum class CounterMode { kExact, kMorris };
 
@@ -81,13 +80,11 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   /// source: the property kill-and-recover bitwise equivalence rests on.
   /// Unchanged words are suppressed; in kMorris mode almost nothing
   /// changes between checkpoints, which is why this sketch's delta
-  /// checkpoints are nearly free.
-  Status RestoreFrom(const Sketch& source) override;
-
-  /// \brief Delta restore: copies only counters/accumulators whose cells
-  /// are dirty (plus the untracked RNG cursor, which is free wear-wise).
-  Status RestoreDirty(const Sketch& source,
-                      const DirtyTracker& dirty) override;
+  /// checkpoints are nearly free. A `dirty` restore copies only the
+  /// counters/accumulators whose cells are dirty (plus the untracked RNG
+  /// cursor, which is free wear-wise).
+  Status RestoreFrom(const Sketch& source,
+                     const DirtyTracker* dirty = nullptr) override;
 
   /// \brief Estimate of ||f||_p.
   double EstimateLp() const;
@@ -131,15 +128,17 @@ class StableSketch : public MergeableSketch, public RestorableSketch {
   size_t rows() const { return rows_; }
   CounterMode mode() const { return mode_; }
 
-  const StateAccountant& accountant() const override { return *accountant_; }
-  StateAccountant* mutable_accountant() override { return accountant_; }
-
- private:
+  /// \brief True iff `other` has this sketch's p, rows, seed, counter mode
+  /// and Morris growth — the merge/restore precondition.
   bool SameConfig(const StableSketch& other) const {
     return other.p_ == p_ && other.rows_ == rows_ && other.seed_ == seed_ &&
            other.mode_ == mode_ && other.morris_a_ == morris_a_;
   }
 
+  const StateAccountant& accountant() const override { return *accountant_; }
+  StateAccountant* mutable_accountant() override { return accountant_; }
+
+ private:
   /// p-stable entry D(r)[item], derived from hashes (same value every time
   /// the pair is visited).
   double Entry(size_t row, Item item) const;

@@ -73,8 +73,8 @@ class MorrisCounter {
   /// probabilistic rounding and no randomness consumed (unlike `Merge`).
   /// Writing the level already held is suppressed, so restoring onto the
   /// previous checkpoint of an unadvanced counter is free. The
-  /// checkpoint/recovery primitive behind `RestorableSketch`
-  /// implementations built on Morris counters.
+  /// checkpoint/recovery primitive behind `MergeableSketch::RestoreFrom`
+  /// in sketches built on Morris counters.
   Status RestoreFrom(const MorrisCounter& other);
 
   /// \brief Unbiased estimate of the accumulated count/weight.

@@ -16,6 +16,10 @@ namespace fewstate {
 ///
 ///  * `kEveryItems` — the classic schedule, retained as one policy: a
 ///    checkpoint every N items per shard, however much or little changed.
+///    A batch boundary that crosses one or more thresholds takes one
+///    checkpoint and moves the next threshold to the first multiple of N
+///    past the shard's item count, so a batch larger than N never
+///    captures the same state twice.
 ///  * `kWriteBudget` — wear-aware: a checkpoint each time the replica has
 ///    accumulated another `write_budget` word writes on its update
 ///    device. A sketch with Õ(n^{1-1/p}) state changes crosses the budget
@@ -42,8 +46,8 @@ namespace fewstate {
 ///    and a full snapshot is forced whenever the dirty fraction
 ///    (dirty words / allocated words) reaches
 ///    `full_snapshot_dirty_fraction` — at that point a delta would cost as
-///    much as a rewrite anyway. Requires `RestorableSketch`; sketches that
-///    only merge fall back to full snapshots.
+///    much as a rewrite anyway. Deltas load through
+///    `MergeableSketch::RestoreFrom` with the tracker's dirty set.
 struct CheckpointPolicy {
   enum class Trigger {
     kNone,        ///< checkpointing disabled
@@ -72,13 +76,11 @@ struct CheckpointPolicy {
   /// \brief True iff any trigger is configured.
   bool enabled() const { return trigger != Trigger::kNone; }
 
-  /// \brief True iff a checkpointed replica needs a `DirtyTracker`:
-  /// the dirty-set trigger reads one on every replica, and delta
-  /// serialization reads one only for a `restorable` sketch (any other
-  /// sketch always takes full snapshots, so its tracker would go unread).
-  bool needs_dirty_tracking(bool restorable) const {
+  /// \brief True iff a checkpointed replica needs a `DirtyTracker`: the
+  /// dirty-set trigger and delta serialization both read one.
+  bool needs_dirty_tracking() const {
     return trigger == Trigger::kDirtyWords ||
-           (enabled() && snapshot == Snapshot::kDelta && restorable);
+           (enabled() && snapshot == Snapshot::kDelta);
   }
 
   /// \brief No checkpointing (the default).

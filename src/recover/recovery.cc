@@ -6,7 +6,6 @@
 
 #include "api/mergeable.h"
 #include "obs/trace.h"
-#include "recover/restorable.h"
 
 namespace fewstate {
 
@@ -58,6 +57,11 @@ Status RecoverReplica(const SketchFactory& factory, const Sketch& snapshot,
     return Status::InvalidArgument("RecoverReplica: factory for '" +
                                    factory.name() + "' returned null");
   }
+  MergeableSketch* replica = AsMergeable(result.sketch.get());
+  if (replica == nullptr) {
+    return Status::FailedPrecondition("RecoverReplica: '" + factory.name() +
+                                      "' is not a MergeableSketch");
+  }
   if (options.price_replica_nvm) {
     const Status valid = options.replica_nvm.Validate();
     if (!valid.ok()) return valid;
@@ -77,21 +81,7 @@ Status RecoverReplica(const SketchFactory& factory, const Sketch& snapshot,
   Status status;
   {
     TraceSpan restore_span(options.trace, "recovery_restore", "recovery");
-    RestorableSketch* restorable = AsRestorable(result.sketch.get());
-    if (restorable != nullptr) {
-      status = restorable->RestoreFrom(snapshot);
-    } else if (MergeableSketch* mergeable =
-                   AsMergeable(result.sketch.get())) {
-      // Merge into empty ≡ copy for the linear sketches; where merges
-      // consume randomness the rebuilt replica is distribution-equivalent,
-      // not bitwise (see header).
-      status = mergeable->MergeFrom(snapshot);
-    } else {
-      return Status::FailedPrecondition(
-          "RecoverReplica: '" + factory.name() +
-          "' is neither restorable nor mergeable; nothing can load its "
-          "snapshot");
-    }
+    status = replica->RestoreFrom(snapshot);
   }
   if (!status.ok()) return status;
   const AccountantSnapshot after_restore =

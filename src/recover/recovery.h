@@ -54,8 +54,7 @@ struct RecoveryReport {
   SketchRunReport restore;
   /// Accountant deltas of the tail-replay phase — identical, word for
   /// word, to what the uninterrupted replica did over the same suffix
-  /// when the sketch is `RestorableSketch` (the kill-and-recover tests
-  /// pin this down).
+  /// (the kill-and-recover tests pin this down).
   SketchRunReport replay;
   /// restore + replay, with the rebuilt replica's device state when
   /// priced.
@@ -97,13 +96,11 @@ struct RecoveredReplica {
 /// the rebuilt replica's accountant onto its live device when
 /// `price_replica_nvm` is set.
 ///
-/// For `RestorableSketch` replicas the result is *bitwise* the replica an
-/// uninterrupted run would have produced — state words and pseudo-random
-/// cursors are copied exactly, so the tail replays write for write.
-/// Mergeable-only replicas fall back to `MergeFrom` into the fresh
-/// replica, which is exact for the linear sketches but only
-/// distribution-preserving where merges consume randomness; sketches that
-/// are neither restorable nor mergeable cannot be recovered
+/// The snapshot loads through `MergeableSketch::RestoreFrom`, so the
+/// result is *bitwise* the replica an uninterrupted run would have
+/// produced — state words and pseudo-random cursors are copied exactly,
+/// and the tail replays write for write. A sketch that is not a
+/// `MergeableSketch` has no restore and cannot be recovered
 /// (`FailedPrecondition`).
 Status RecoverReplica(const SketchFactory& factory, const Sketch& snapshot,
                       ItemSource& trace_tail, const RecoveryOptions& options,

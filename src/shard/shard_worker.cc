@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "api/mergeable.h"
-#include "recover/restorable.h"
 #include "shard/sharded_engine.h"
 
 namespace fewstate {
@@ -57,11 +56,11 @@ ShardWorker::ShardWorker(
     // whole lifetime.
     lane.replica = e.factory.Make();
     if (e.has_nvm) lane.nvm = std::make_unique<LiveNvmSink>(e.nvm_spec);
-    if (policy_.enabled() && (e.mergeable || e.restorable)) {
+    if (policy_.enabled() && e.mergeable) {
       // Checkpoint device: persists across this shard's checkpoints
       // (re-snapshotting the same region accrues wear).
       lane.ckpt = std::make_unique<LiveNvmSink>(options.checkpoint_nvm);
-      if (policy_.needs_dirty_tracking(e.restorable)) {
+      if (policy_.needs_dirty_tracking()) {
         lane.dirty = std::make_unique<DirtyTracker>();
       }
     }
@@ -121,9 +120,12 @@ void ShardWorker::Consume(const Stream& batch) {
     if (lane.ckpt == nullptr) continue;  // not checkpointable
     switch (policy_.trigger) {
       case CheckpointPolicy::Trigger::kEveryItems:
-        while (processed_ >= lane.next_every_items) {
+        // A batch that crossed several thresholds checkpoints once: every
+        // capture at this boundary would copy the same state.
+        if (processed_ >= lane.next_every_items) {
           TakeCheckpoint(&lane);
-          lane.next_every_items += policy_.every_items;
+          lane.next_every_items =
+              (processed_ / policy_.every_items + 1) * policy_.every_items;
         }
         break;
       case CheckpointPolicy::Trigger::kWriteBudget:
@@ -161,9 +163,9 @@ SketchRunReport ShardWorker::IngestReport(size_t i) const {
 
 // Serializes the live replica into its snapshot, pricing the writes on the
 // checkpoint device. A *full* checkpoint rewrites the whole state region
-// (a freshly-minted snapshot replica absorbs the live one — every nonzero
-// word costs a device write); a *delta* checkpoint overwrites the
-// persistent snapshot with just the words the `DirtyTracker` saw change,
+// (a freshly-minted snapshot replica restores from the live one — every
+// nonzero word costs a device write); a *delta* checkpoint restores the
+// persistent snapshot from just the words the `DirtyTracker` saw change,
 // which for the paper's write-frugal sketches is a tiny fraction of state.
 void ShardWorker::TakeCheckpoint(Lane* lane) {
   const Sketch& live = *lane->replica;
@@ -172,13 +174,12 @@ void ShardWorker::TakeCheckpoint(Lane* lane) {
     trace_->Instant("policy_trigger", "checkpoint", processed_);
   }
   const uint64_t ckpt_words_before = row.word_writes;
-  // Delta only when the policy asks for it, the sketch supports exact
-  // restores, a base snapshot exists, and the dirty fraction is below the
-  // full-rewrite threshold (past it, a delta costs a rewrite anyway).
+  // Delta only when the policy asks for it, a base snapshot exists, and
+  // the dirty fraction is below the full-rewrite threshold (past it, a
+  // delta costs a rewrite anyway).
   bool full = true;
   if (policy_.snapshot == CheckpointPolicy::Snapshot::kDelta &&
-      lane->spec.restorable && lane->snapshot != nullptr &&
-      lane->dirty != nullptr) {
+      lane->snapshot != nullptr) {
     const uint64_t allocated = live.accountant().allocated_words();
     const double fraction =
         allocated == 0 ? 1.0
@@ -194,10 +195,8 @@ void ShardWorker::TakeCheckpoint(Lane* lane) {
   if (full) {
     std::unique_ptr<Sketch> fresh = lane->spec.factory.Make();
     fresh->mutable_accountant()->set_write_sink(lane->ckpt.get());
-    CheckCopy(lane->spec.restorable
-                  ? AsRestorable(fresh.get())->RestoreFrom(live)
-                  : AsMergeable(fresh.get())->MergeFrom(live),
-              "checkpoint", lane->spec.factory);
+    CheckCopy(AsMergeable(fresh.get())->RestoreFrom(live), "checkpoint",
+              lane->spec.factory);
     Accumulate(&row, AccountantSnapshot().DeltaTo(
                          AccountantSnapshot::Of(fresh->accountant())));
     lane->snapshot = std::move(fresh);
@@ -205,7 +204,7 @@ void ShardWorker::TakeCheckpoint(Lane* lane) {
   } else {
     Sketch* snap = lane->snapshot.get();
     const AccountantSnapshot pre = AccountantSnapshot::Of(snap->accountant());
-    CheckCopy(AsRestorable(snap)->RestoreDirty(live, *lane->dirty),
+    CheckCopy(AsMergeable(snap)->RestoreFrom(live, lane->dirty.get()),
               "delta checkpoint", lane->spec.factory);
     Accumulate(&row, pre.DeltaTo(AccountantSnapshot::Of(snap->accountant())));
     ++row.delta_checkpoints;
@@ -225,27 +224,23 @@ void ShardWorker::TakeCheckpoint(Lane* lane) {
   if (serve_) Publish(lane);
 }
 
-// Publishes the latest checkpoint for concurrent readers. Whenever the
-// checkpoint minted a fresh snapshot object that nothing will mutate
-// again — every checkpoint outside (kDelta && restorable) — it is
-// published directly, zero-copy. In delta mode the base snapshot is the
-// mutation target of the *next* delta, so readers get a double-buffered
-// copy instead, priced as bulk reads of the checkpoint region (serving
-// re-reads durable state; reads cost energy, never wear).
+// Publishes the latest checkpoint for concurrent readers. In full mode
+// every checkpoint mints a fresh snapshot object that nothing will mutate
+// again, so it is published directly, zero-copy. In delta mode the base
+// snapshot is the mutation target of the *next* delta, so readers get a
+// double-buffered copy instead, priced as bulk reads of the checkpoint
+// region (serving re-reads durable state; reads cost energy, never wear).
 void ShardWorker::Publish(Lane* lane) {
   TraceSpan publish_span(trace_, "checkpoint_publish", "checkpoint");
   std::shared_ptr<const Sketch> to_publish;
-  const bool base_is_mutable =
-      policy_.snapshot == CheckpointPolicy::Snapshot::kDelta &&
-      lane->spec.restorable;
-  if (!base_is_mutable) {
+  if (policy_.snapshot != CheckpointPolicy::Snapshot::kDelta) {
     to_publish = lane->snapshot;
   } else {
     std::shared_ptr<Sketch>& spare = lane->serve_bufs[lane->serve_cur ^ 1];
     if (spare == nullptr || spare.use_count() > 1) {
       spare = lane->spec.factory.Make();
     }
-    CheckCopy(AsRestorable(spare.get())->RestoreFrom(*lane->replica),
+    CheckCopy(AsMergeable(spare.get())->RestoreFrom(*lane->replica),
               "serving copy", lane->spec.factory);
     lane->ckpt->OnBulkReads(lane->snapshot->accountant().allocated_words());
     lane->serve_cur ^= 1;

@@ -29,7 +29,6 @@ struct ShardedEngineOptions;
 struct ShardedSketchSpec {
   SketchFactory factory;
   bool mergeable = false;
-  bool restorable = false;
   bool has_nvm = false;
   NvmSpec nvm_spec;  // meaningful iff has_nvm
 };
@@ -101,8 +100,8 @@ class ShardWorker {
     // them, so they outlive those sketches on destruction.
     std::unique_ptr<LiveNvmSink> nvm;
     std::unique_ptr<LiveNvmSink> ckpt;
-    // Only when the policy reads it: the dirty-words trigger, or deltas
-    // of a restorable sketch.
+    // Only when the policy reads it: the dirty-words trigger, or delta
+    // snapshots.
     std::unique_ptr<DirtyTracker> dirty;
     std::unique_ptr<TeeSink> tee;         // when both dirty and nvm exist
     std::unique_ptr<Sketch> replica;

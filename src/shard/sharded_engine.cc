@@ -256,9 +256,7 @@ Status ShardedEngine::AddSketchEntry(SketchFactory factory, bool has_nvm,
         "' is not mergeable; a multi-shard engine requires MergeableSketch "
         "implementations (run it in a shards=1 engine instead)");
   }
-  const bool restorable = IsRestorable(*probe);
-  ShardedSketchSpec entry{std::move(factory), mergeable, restorable, has_nvm,
-                          nvm_spec};
+  ShardedSketchSpec entry{std::move(factory), mergeable, has_nvm, nvm_spec};
   entries_.push_back(std::move(entry));
   // Publication slots live at a stable heap address from registration on,
   // so ServingHandles obtained before any Run stay valid for the engine's
@@ -485,7 +483,6 @@ void ShardedEngine::Consolidate(ShardedRunReport* report) {
     ShardedSketchReport& sk = report->sketches[i];
     sk.name = entries_[i].factory.name();
     sk.mergeable = entries_[i].mergeable;
-    sk.restorable = entries_[i].restorable;
     sk.per_shard.resize(num_shards);
     for (size_t s = 0; s < num_shards; ++s) {
       sk.per_shard[s] = workers_[s]->IngestReport(i);

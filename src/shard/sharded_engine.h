@@ -16,7 +16,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "recover/checkpoint_policy.h"
-#include "recover/restorable.h"
 #include "shard/shard_worker.h"
 #include "shard/sketch_factory.h"
 #include "shard/snapshot_serving.h"
@@ -44,11 +43,11 @@ struct ShardedEngineOptions {
   /// shard's own worker thread and serialize the shard's live replicas
   /// into NVM-backed snapshot sketches, pricing durability traffic
   /// through the same `WriteSink` pipeline as update wear. With
-  /// `Snapshot::kDelta`, `RestorableSketch` entries keep one persistent
-  /// snapshot per (shard, sketch) and re-serialize only the words the
-  /// `DirtyTracker` saw change; mergeable-but-not-restorable entries fall
-  /// back to full snapshots, and non-checkpointable entries (possible
-  /// when shards == 1) are skipped. Snapshot devices persist across a
+  /// `Snapshot::kDelta`, entries keep one persistent snapshot per
+  /// (shard, sketch) and re-serialize only the words the `DirtyTracker`
+  /// saw change (`MergeableSketch::RestoreFrom` with its dirty set);
+  /// entries that are not mergeable (possible when shards == 1) have no
+  /// restore and are skipped. Snapshot devices persist across a
   /// shard's checkpoints within one run — re-snapshotting the same state
   /// region accrues wear, which is exactly the durability cost the report
   /// surfaces. Workers mint snapshot replicas concurrently, so registered
@@ -106,9 +105,6 @@ struct ShardedEngineOptions {
 struct ShardedSketchReport {
   std::string name;
   bool mergeable = false;
-  /// True iff the registered sketch implements `RestorableSketch` (exact
-  /// word-for-word snapshots; required for delta checkpoints/recovery).
-  bool restorable = false;
   std::vector<SketchRunReport> per_shard;
   SketchRunReport merge;
   /// Durability traffic: accountant deltas of the NVM-backed snapshot

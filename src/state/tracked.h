@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "state/dirty_tracker.h"
 #include "state/state_accountant.h"
 
 namespace fewstate {
@@ -160,27 +161,24 @@ void AddTrackedArray(TrackedArray<T>* dst, const TrackedArray<T>& src) {
 }
 
 /// \brief Overwrites `dst` element-wise with `src` (equal sizes assumed —
-/// the checkpoint/restore primitive behind `RestorableSketch`). Words
+/// the restore primitive behind `MergeableSketch::RestoreFrom`). Words
 /// already holding the source value are suppressed, so restoring onto the
-/// previous checkpoint prices exactly the words that changed since.
+/// previous checkpoint prices exactly the words that changed since. A
+/// non-null `dirty` limits the copy to the elements whose absolute cell
+/// addresses it holds, in ascending order; addresses are read in `src`'s
+/// space (identical to `dst`'s for identically-configured replicas), and
+/// dirty cells outside the array belong to the algorithm's other
+/// structures.
 template <typename T>
-void CopyTrackedArray(TrackedArray<T>* dst, const TrackedArray<T>& src) {
-  for (size_t i = 0; i < src.size(); ++i) dst->Set(i, src.Peek(i));
-}
-
-/// \brief Delta-restore variant of `CopyTrackedArray`: copies only the
-/// elements whose absolute cell addresses appear in `cells` (ascending; a
-/// `DirtyTracker::SortedCells` output). Addresses are interpreted in
-/// `src`'s space — identical to `dst`'s for identically-configured
-/// replicas, which is the `RestorableSketch` precondition. Cells outside
-/// the array are ignored (they belong to the algorithm's other
-/// structures).
-template <typename T>
-void CopyTrackedArrayCells(TrackedArray<T>* dst, const TrackedArray<T>& src,
-                           const std::vector<uint64_t>& cells) {
+void CopyTrackedArray(TrackedArray<T>* dst, const TrackedArray<T>& src,
+                      const DirtyTracker* dirty) {
+  if (dirty == nullptr) {
+    for (size_t i = 0; i < src.size(); ++i) dst->Set(i, src.Peek(i));
+    return;
+  }
   const uint64_t base = src.base_cell();
   const uint64_t end = base + src.size();
-  for (uint64_t cell : cells) {
+  for (uint64_t cell : dirty->SortedCells()) {
     if (cell < base || cell >= end) continue;
     const size_t i = static_cast<size_t>(cell - base);
     dst->Set(i, src.Peek(i));

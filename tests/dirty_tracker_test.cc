@@ -191,32 +191,26 @@ TEST(DirtyTracker, ReadsAreNotWrites) {
 }
 
 // A tracker is built only where the policy reads it: the dirty-words
-// trigger reads one on every checkpointed replica; delta snapshots read
-// one only for restorable sketches (the rest always take full
-// snapshots); full snapshots under item or write-budget triggers never do.
+// trigger and delta snapshots read one; full snapshots under item or
+// write-budget triggers never do.
 TEST(DirtyTracker, PolicyNeedsTrackingOnlyWhereItIsRead) {
   using Snapshot = CheckpointPolicy::Snapshot;
-  for (const bool restorable : {false, true}) {
-    SCOPED_TRACE(restorable);
-    EXPECT_FALSE(CheckpointPolicy::None().needs_dirty_tracking(restorable));
-    EXPECT_FALSE(CheckpointPolicy::EveryItems(100, Snapshot::kFull)
-                     .needs_dirty_tracking(restorable));
-    EXPECT_FALSE(CheckpointPolicy::WriteBudget(100, Snapshot::kFull)
-                     .needs_dirty_tracking(restorable));
-    EXPECT_EQ(CheckpointPolicy::EveryItems(100, Snapshot::kDelta)
-                  .needs_dirty_tracking(restorable),
-              restorable);
-    EXPECT_EQ(CheckpointPolicy::WriteBudget(100, Snapshot::kDelta)
-                  .needs_dirty_tracking(restorable),
-              restorable);
-    EXPECT_TRUE(CheckpointPolicy::DirtyWords(100, Snapshot::kFull)
-                    .needs_dirty_tracking(restorable));
-    EXPECT_TRUE(CheckpointPolicy::DirtyWords(100, Snapshot::kDelta)
-                    .needs_dirty_tracking(restorable));
-  }
+  EXPECT_FALSE(CheckpointPolicy::None().needs_dirty_tracking());
+  EXPECT_FALSE(CheckpointPolicy::EveryItems(100, Snapshot::kFull)
+                   .needs_dirty_tracking());
+  EXPECT_FALSE(CheckpointPolicy::WriteBudget(100, Snapshot::kFull)
+                   .needs_dirty_tracking());
+  EXPECT_TRUE(CheckpointPolicy::EveryItems(100, Snapshot::kDelta)
+                  .needs_dirty_tracking());
+  EXPECT_TRUE(CheckpointPolicy::WriteBudget(100, Snapshot::kDelta)
+                  .needs_dirty_tracking());
+  EXPECT_TRUE(CheckpointPolicy::DirtyWords(100, Snapshot::kFull)
+                  .needs_dirty_tracking());
+  EXPECT_TRUE(CheckpointPolicy::DirtyWords(100, Snapshot::kDelta)
+                  .needs_dirty_tracking());
   // A disabled delta policy (zero interval) reads nothing.
   EXPECT_FALSE(CheckpointPolicy::EveryItems(0, Snapshot::kDelta)
-                   .needs_dirty_tracking(true));
+                   .needs_dirty_tracking());
 }
 
 }  // namespace

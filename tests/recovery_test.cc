@@ -1,9 +1,9 @@
-// The crash-recovery subsystem: exact state restores (RestorableSketch),
+// The crash-recovery subsystem: exact state restores (RestoreFrom),
 // delta checkpoints that price only what changed, wear-aware checkpoint
 // policies, and kill-and-recover replay — a replica rebuilt from its last
 // delta checkpoint plus the trace tail must be bitwise-identical to the
 // uninterrupted run, estimates and tail accounting included, for CountMin,
-// MisraGries and the write-frugal Morris-mode stable sketch, and for
+// MisraGries, AMS and the write-frugal Morris-mode stable sketch, and for
 // SpaceSaving, whose restores also carry its tie order.
 
 #include <gtest/gtest.h>
@@ -15,7 +15,9 @@
 #include <vector>
 
 #include "api/item_source.h"
+#include "api/mergeable.h"
 #include "api/stream_engine.h"
+#include "baselines/ams_sketch.h"
 #include "baselines/count_min.h"
 #include "baselines/count_sketch.h"
 #include "baselines/misra_gries.h"
@@ -25,7 +27,6 @@
 #include "nvm/live_sink.h"
 #include "recover/checkpoint_policy.h"
 #include "recover/recovery.h"
-#include "recover/restorable.h"
 #include "shard/sharded_engine.h"
 #include "shard/sketch_factory.h"
 #include "state/dirty_tracker.h"
@@ -70,6 +71,21 @@ std::vector<SketchFactory> Roster() {
   return {CountMinFactory(), MisraGriesFactory(), StableMorrisFactory()};
 }
 
+SketchFactory AmsFactory() {
+  return SketchFactory::Of<AmsSketch>("ams", size_t{5}, size_t{16},
+                                      uint64_t{11});
+}
+
+// Every mergeable type, for the restore-contract tests.
+std::vector<SketchFactory> RestoreRoster() {
+  std::vector<SketchFactory> roster = Roster();
+  roster.push_back(AmsFactory());
+  roster.push_back(SketchFactory::Of<CountSketch>("count_sketch", size_t{4},
+                                                  size_t{512}, uint64_t{7}));
+  roster.push_back(SketchFactory::Of<SpaceSaving>("space_saving", size_t{256}));
+  return roster;
+}
+
 // Bitwise estimate comparison over the whole universe (every table cell a
 // query can reach), plus the norm statistics for the norm-only sketch.
 void ExpectEstimatesIdentical(const Sketch& a, const Sketch& b) {
@@ -100,17 +116,17 @@ SketchRunReport DeltaOver(Sketch* sketch, const Stream& items) {
   return before.DeltaTo(AccountantSnapshot::Of(sketch->accountant()));
 }
 
-// --- RestorableSketch contract ---------------------------------------------
+// --- Restore contract ------------------------------------------------------
 
 TEST(Restorable, RestoreCopiesStateAndSecondRestorePricesZero) {
   const Stream stream = TestStream(20000);
-  for (const SketchFactory& factory : Roster()) {
+  for (const SketchFactory& factory : RestoreRoster()) {
     std::unique_ptr<Sketch> live = factory.Make();
     live->Consume(stream);
 
     std::unique_ptr<Sketch> snapshot = factory.Make();
-    ASSERT_TRUE(IsRestorable(*snapshot));
-    ASSERT_TRUE(AsRestorable(snapshot.get())->RestoreFrom(*live).ok());
+    ASSERT_TRUE(IsMergeable(*snapshot));
+    ASSERT_TRUE(AsMergeable(snapshot.get())->RestoreFrom(*live).ok());
     ExpectEstimatesIdentical(*snapshot, *live);
     EXPECT_GT(snapshot->accountant().word_writes(), 0u);
 
@@ -118,7 +134,7 @@ TEST(Restorable, RestoreCopiesStateAndSecondRestorePricesZero) {
     // delta-checkpoint pricing property, at the contract level.
     const AccountantSnapshot before =
         AccountantSnapshot::Of(snapshot->accountant());
-    ASSERT_TRUE(AsRestorable(snapshot.get())->RestoreFrom(*live).ok());
+    ASSERT_TRUE(AsMergeable(snapshot.get())->RestoreFrom(*live).ok());
     const SketchRunReport delta =
         before.DeltaTo(AccountantSnapshot::Of(snapshot->accountant()));
     EXPECT_EQ(delta.word_writes, 0u) << factory.name();
@@ -132,27 +148,35 @@ TEST(Restorable, RestoreRejectsIncompatibleConfigurations) {
   EXPECT_FALSE(b.RestoreFrom(a).ok());
   MisraGries c(64), d(128);
   EXPECT_FALSE(d.RestoreFrom(c).ok());
-  EXPECT_FALSE(AsRestorable(&a)->RestoreFrom(a).ok());  // self
+  EXPECT_FALSE(AsMergeable(&a)->RestoreFrom(a).ok());  // self
 
   // Delta restores check the same configuration as full ones.
   const DirtyTracker dirty;
-  EXPECT_FALSE(b.RestoreDirty(a, dirty).ok());
+  EXPECT_FALSE(b.RestoreFrom(a, &dirty).ok());
   CountMin conservative(4, 512, /*seed=*/7, true);  // different update mode
-  EXPECT_FALSE(conservative.RestoreDirty(a, dirty).ok());
+  EXPECT_FALSE(conservative.RestoreFrom(a, &dirty).ok());
   CountSketch e(4, 512, /*seed=*/7), f(4, 256, /*seed=*/7);  // width
-  EXPECT_FALSE(f.RestoreDirty(e, dirty).ok());
+  EXPECT_FALSE(f.RestoreFrom(e, &dirty).ok());
   StableSketch g(0.5, 16, /*seed=*/7, StableSketch::CounterMode::kMorris);
   StableSketch h(0.5, 16, /*seed=*/7, StableSketch::CounterMode::kExact);
-  EXPECT_FALSE(h.RestoreDirty(g, dirty).ok());  // counter mode
+  EXPECT_FALSE(h.RestoreFrom(g, &dirty).ok());  // counter mode
   StableSketch k(0.5, 16, /*seed=*/7, StableSketch::CounterMode::kMorris, 0.2);
-  EXPECT_FALSE(k.RestoreDirty(g, dirty).ok());  // Morris growth
+  EXPECT_FALSE(k.RestoreFrom(g, &dirty).ok());  // Morris growth
+  AmsSketch l(4, 16, /*seed=*/7);
+  AmsSketch m(5, 16, /*seed=*/7), n(4, 8, /*seed=*/7), o(4, 16, /*seed=*/8);
+  EXPECT_FALSE(m.RestoreFrom(l).ok());          // rows
+  EXPECT_FALSE(n.RestoreFrom(l, &dirty).ok());  // cols
+  EXPECT_FALSE(o.RestoreFrom(l).ok());          // seed
+  EXPECT_FALSE(l.RestoreFrom(l).ok());          // self
   // Matching configurations still restore.
   CountMin twin(4, 512, /*seed=*/7, false);
-  EXPECT_TRUE(twin.RestoreDirty(a, dirty).ok());
+  EXPECT_TRUE(twin.RestoreFrom(a, &dirty).ok());
+  AmsSketch ams_twin(4, 16, /*seed=*/7);
+  EXPECT_TRUE(ams_twin.RestoreFrom(l, &dirty).ok());
 }
 
 TEST(Restorable, DirtyRestoreOfUnchangedReplicaPricesZeroCheckpointWrites) {
-  for (const SketchFactory& factory : Roster()) {
+  for (const SketchFactory& factory : RestoreRoster()) {
     std::unique_ptr<Sketch> live = factory.Make();
     DirtyTracker dirty;
     live->mutable_accountant()->set_write_sink(&dirty);
@@ -162,15 +186,14 @@ TEST(Restorable, DirtyRestoreOfUnchangedReplicaPricesZeroCheckpointWrites) {
     LiveNvmSink ckpt_device(SmallSpec());
     std::unique_ptr<Sketch> snapshot = factory.Make();
     snapshot->mutable_accountant()->set_write_sink(&ckpt_device);
-    ASSERT_TRUE(AsRestorable(snapshot.get())->RestoreFrom(*live).ok());
+    ASSERT_TRUE(AsMergeable(snapshot.get())->RestoreFrom(*live).ok());
     const uint64_t writes_after_base = ckpt_device.Report().writes_replayed;
     EXPECT_GT(writes_after_base, 0u);
     dirty.ClearDirty();
 
     // No updates since the checkpoint: the delta prices *zero* device
     // writes — durability is free when nothing changed.
-    ASSERT_TRUE(
-        AsRestorable(snapshot.get())->RestoreDirty(*live, dirty).ok());
+    ASSERT_TRUE(AsMergeable(snapshot.get())->RestoreFrom(*live, &dirty).ok());
     EXPECT_EQ(ckpt_device.Report().writes_replayed, writes_after_base)
         << factory.name();
   }
@@ -179,19 +202,18 @@ TEST(Restorable, DirtyRestoreOfUnchangedReplicaPricesZeroCheckpointWrites) {
 TEST(Restorable, DirtyRestoreEqualsFullRestoreAfterMoreUpdates) {
   const Stream prefix = TestStream(20000, /*seed=*/913);
   const Stream more = TestStream(5000, /*seed=*/914);
-  for (const SketchFactory& factory : Roster()) {
+  for (const SketchFactory& factory : RestoreRoster()) {
     std::unique_ptr<Sketch> live = factory.Make();
     DirtyTracker dirty;
     live->mutable_accountant()->set_write_sink(&dirty);
     live->Consume(prefix);
 
     std::unique_ptr<Sketch> snapshot = factory.Make();
-    ASSERT_TRUE(AsRestorable(snapshot.get())->RestoreFrom(*live).ok());
+    ASSERT_TRUE(AsMergeable(snapshot.get())->RestoreFrom(*live).ok());
     dirty.ClearDirty();
 
     live->Consume(more);
-    ASSERT_TRUE(
-        AsRestorable(snapshot.get())->RestoreDirty(*live, dirty).ok());
+    ASSERT_TRUE(AsMergeable(snapshot.get())->RestoreFrom(*live, &dirty).ok());
     ExpectEstimatesIdentical(*snapshot, *live);
   }
 }
@@ -348,7 +370,9 @@ TEST(KillAndRecover, RebuiltReplicaIsBitwiseIdenticalToUninterruptedRun) {
   options.checkpoint_policy.full_snapshot_dirty_fraction = 1.01;
   options.checkpoint_nvm = SmallSpec();
   ShardedEngine engine(options);
-  for (const SketchFactory& factory : Roster()) {
+  std::vector<SketchFactory> roster = Roster();
+  roster.push_back(AmsFactory());
+  for (const SketchFactory& factory : roster) {
     ASSERT_TRUE(engine.AddSketch(factory).ok());
   }
   FileSource trace(path);
@@ -364,7 +388,7 @@ TEST(KillAndRecover, RebuiltReplicaIsBitwiseIdenticalToUninterruptedRun) {
   }
 
   const Stream continuation = TestStream(5000, /*seed=*/555);
-  for (const SketchFactory& factory : Roster()) {
+  for (const SketchFactory& factory : roster) {
     SCOPED_TRACE(factory.name());
     const ShardedSketchReport* row = report.Find(factory.name());
     ASSERT_NE(row, nullptr);
@@ -432,7 +456,7 @@ TEST(KillAndRecover, RecoveryChargesSnapshotReadsToTheCheckpointDevice) {
   LiveNvmSink ckpt_device(SmallSpec());
   std::unique_ptr<Sketch> snapshot = CountMinFactory().Make();
   snapshot->mutable_accountant()->set_write_sink(&ckpt_device);
-  ASSERT_TRUE(AsRestorable(snapshot.get())->RestoreFrom(*live).ok());
+  ASSERT_TRUE(AsMergeable(snapshot.get())->RestoreFrom(*live).ok());
   const uint64_t reads_before = ckpt_device.Report().reads_replayed;
 
   RecoveryOptions options;
@@ -455,7 +479,7 @@ TEST(KillAndRecover, RecoveryFailsCleanlyWhereItCannotBeExact) {
                               VectorSource(Stream{}), RecoveryOptions(),
                               &recovered)
                    .ok());
-  // Neither restorable nor mergeable: nothing can load a snapshot.
+  // Not mergeable: no restore can load a snapshot.
   SampleAndHoldOptions sah;
   sah.universe = kFlows;
   sah.stream_length_hint = 1000;
@@ -542,8 +566,9 @@ TEST(Restorable, SpaceSavingRejectsAMismatchedCapacityUntouched) {
   }
   const AccountantSnapshot accounts =
       AccountantSnapshot::Of(destination.accountant());
+  const DirtyTracker dirty;
   EXPECT_FALSE(destination.RestoreFrom(source).ok());
-  EXPECT_FALSE(destination.RestoreDirty(source, DirtyTracker()).ok());
+  EXPECT_FALSE(destination.RestoreFrom(source, &dirty).ok());
   EXPECT_FALSE(destination.RestoreFrom(destination).ok());  // self
   for (Item item = 0; item < kFlows; ++item) {
     ASSERT_EQ(destination.EstimateFrequency(item), before[item]);

@@ -330,11 +330,11 @@ TEST(ShardedNvm, SingleShardLiveDeviceMatchesStreamEngineBitwise) {
   ExpectReportsIdentical(row->total.nvm, expected.Find("count_min")->nvm);
 }
 
-ShardedRunReport RunCheckpointed(size_t shards, uint64_t every,
-                                 uint64_t items) {
+ShardedRunReport RunCheckpointed(size_t shards, uint64_t every, uint64_t items,
+                                 size_t batch_items = 1024) {
   ShardedEngineOptions options;
   options.shards = shards;
-  options.batch_items = 1024;
+  options.batch_items = batch_items;
   options.checkpoint_policy =
       CheckpointPolicy::EveryItems(every, CheckpointPolicy::Snapshot::kFull);
   options.checkpoint_nvm = SmallSpec(NvmSpec::Leveling::kDirect);
@@ -375,13 +375,26 @@ TEST(ShardedNvm, CheckpointWearIsDeterministicForFixedSeedAndShards) {
 
 TEST(ShardedNvm, CheckpointCountMatchesThresholdsCrossed) {
   // S == 1: the shard sees all N items, so exactly floor(N / every)
-  // thresholds are crossed regardless of batch splits.
+  // thresholds are crossed when no batch crosses two thresholds.
   const ShardedRunReport report = RunCheckpointed(1, 10000, 55000);
   for (const ShardedSketchReport& sk : report.sketches) {
     EXPECT_EQ(sk.checkpoints_taken, 5u);
     EXPECT_EQ(sk.checkpoint.full_checkpoints, 5u);
-    EXPECT_EQ(sk.checkpoint.updates, 5u);  // one merge epoch per snapshot
+    EXPECT_EQ(sk.checkpoint.updates, 5u);  // one restore epoch per snapshot
     EXPECT_GT(sk.checkpoint.word_writes, 0u);
+  }
+}
+
+TEST(ShardedNvm, BatchCrossingTwoThresholdsCheckpointsOnce) {
+  // Every 4096-item batch crosses two 2048-item thresholds. The state is
+  // the same at both, so each batch boundary takes one checkpoint.
+  const ShardedRunReport report =
+      RunCheckpointed(1, 2048, 16384, /*batch_items=*/4096);
+  for (const ShardedSketchReport& sk : report.sketches) {
+    EXPECT_EQ(sk.checkpoints_taken, 4u);
+    EXPECT_EQ(sk.checkpoint.full_checkpoints, 4u);
+    EXPECT_EQ(sk.checkpoint.updates, 4u);  // one restore epoch per snapshot
+    EXPECT_EQ(sk.last_checkpoint_items, std::vector<uint64_t>{16384});
   }
 }
 
